@@ -8,7 +8,14 @@ cluster map overlays, emitting deterministic delimited reports.
 
 __version__ = "0.1.0"
 
-from .cohorts import UnknownTopicError, YearCohorts, cohort_series, topic_activity, year_cohorts
+from .cohorts import (
+    TopicIndex,
+    UnknownTopicError,
+    YearCohorts,
+    cohort_series,
+    topic_activity,
+    year_cohorts,
+)
 from .classify import (
     DegenerateDistributionError,
     QuadrantAssignment,
@@ -40,7 +47,6 @@ from .indicators import (
     author_profiles,
     production_bands,
     year_summaries,
-    year_summary,
 )
 from .overlay import AreaRollup, ClusterOverlayRow, area_rollup, cluster_overlay, emit_map
 from .synthgen import GeneratorConfig, GroundTruth, InfeasibleConfigError, generate
@@ -69,6 +75,7 @@ __all__ = [
     "QuadrantAssignment",
     "QuadrantThresholds",
     "RESEARCH_AREAS",
+    "TopicIndex",
     "UnknownTopicError",
     "YearCohorts",
     "YearIndicatorSummary",
@@ -88,5 +95,4 @@ __all__ = [
     "validate",
     "year_cohorts",
     "year_summaries",
-    "year_summary",
 ]

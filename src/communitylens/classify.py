@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cohorts import TopicIndex
 from .corpus import Corpus
 from .indicators import AuthorProfile
 from .rounding import percent
@@ -164,13 +165,13 @@ def classify_authors(
     thresholds: QuadrantThresholds,
     *,
     corpus: Corpus | None = None,
-    topic: str | None = None,
+    index: TopicIndex | None = None,
 ) -> ClassificationResult:
     """Assign every author a group; share tables per community and per area.
 
-    Area shares need the corpus and topic to locate each author's clustered
-    topic publications; an author counts once in every area where they have
-    one. Without cluster metadata by_area is None.
+    Area shares need the corpus's cluster metadata and the topic index, which
+    locates each author's clustered topic publications; an author counts once
+    in every area where they have one. Without cluster metadata by_area is None.
     """
     assignments = []
     counts = {g: 0 for g in GROUPS}
@@ -182,22 +183,12 @@ def classify_authors(
     community = GroupShares(total=len(assignments), counts=counts)
 
     by_area: dict[str, GroupShares] | None = None
-    if corpus is not None and corpus.clusters and topic is not None:
-        author_areas: dict[str, set[str]] = {}
-        for rec in corpus.publications:
-            if rec.cluster_id is None or topic not in rec.topic_flags:
-                continue
-            meta = corpus.clusters.get(rec.cluster_id)
-            if meta is None:
-                continue
-            for a in rec.author_ids:
-                if a in profiles:
-                    author_areas.setdefault(a, set()).add(meta.area)
+    if corpus is not None and corpus.clusters and index is not None:
         area_counts: dict[str, dict[str, int]] = {}
         by_group = {a.author_id: a.group for a in assignments}
-        for author_id in sorted(author_areas):
+        for author_id, cluster_ids in index.clusters.items():
             group = by_group[author_id]
-            for area in author_areas[author_id]:
+            for area in {corpus.clusters[c].area for c in cluster_ids}:
                 area_counts.setdefault(area, {g: 0 for g in GROUPS})[group] += 1
         by_area = {
             area: GroupShares(total=sum(c.values()), counts=c)

@@ -15,17 +15,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .classify import DegenerateDistributionError, classify_authors, resolve_thresholds
-from .cohorts import UnknownTopicError, cohort_series, topic_activity
+from .cohorts import TopicIndex, UnknownTopicError, cohort_series, topic_activity
 from .compare import compare, comparison_files
 from .corpus import Corpus, CorpusError, load_corpus, validate
 from .indicators import (
+    AuthorProfile,
     CareerDataError,
-    aggregates_as_band_profiles,
     author_profiles,
     production_bands,
     year_summaries,
@@ -120,7 +119,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
                         help="stay window in years (default 2)")
     common.add_argument("--stay-denominator", choices=["new", "all"],
                         default=defaults.get("stay_denominator", "new"))
-    common.add_argument("--threads", type=int, default=defaults.get("threads", 1), metavar="N")
+    common.add_argument("--threads", type=int, default=defaults.get("threads", 1), metavar="N",
+                        help="accepted for forward compatibility; changes nothing yet")
     common.add_argument("--out", default=defaults.get("out"), metavar="DIR")
     common.add_argument("--raw", action="store_true", default=bool(defaults.get("raw", False)),
                         help="append full-precision columns")
@@ -247,90 +247,81 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.is_clean else 1
 
 
-def _cmd_cohorts(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    activity = topic_activity(corpus, args.topic)
-    if not activity:
-        print(f"warning: topic {args.topic!r} has no publications; emitting zero rows", file=sys.stderr)
-    corpus.publications.clear()  # the topic index replaces the record list
-    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator, activity=activity)
-    return _finish(args, {"cohorts.csv": emit_cohorts_csv(rows, raw=args.raw)})
+# --- topic subcommands --------------------------------------------------------
+# cohorts, indicators, classify and overlay run one flow: load, build the topic
+# index, build the author profiles when their reports need them, then reduce.
+# compare runs the same index and profile steps for each side inside compare().
+
+Profiles = dict[str, AuthorProfile]
 
 
-def _cmd_indicators(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    activity = topic_activity(corpus, args.topic)
-    if not activity:
-        print(f"warning: topic {args.topic!r} has no publications; emitting zero rows", file=sys.stderr)
-    corpus.publications.clear()
-
-    def rows():
-        return cohort_series(corpus, args.topic, args.window, args.stay_denominator, activity=activity)
-
-    def sums():
-        return year_summaries(corpus, args.topic, activity=activity)
-
-    def bands():
-        return production_bands(
-            aggregates_as_band_profiles(corpus, args.topic, args.focus_mode, activity=activity)
-        )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(task) for task in (rows, sums, bands)]
-            cohort_rows, summaries, band_rows = [f.result() for f in futures]
-    else:
-        cohort_rows, summaries, band_rows = rows(), sums(), bands()
-    return _finish(
-        args,
-        {
-            "cohorts.csv": emit_cohorts_csv(cohort_rows, raw=args.raw),
-            "indicators.csv": emit_indicators_csv(summaries, raw=args.raw),
-            "bands.csv": emit_bands_csv(band_rows, raw=args.raw),
-        },
-    )
+def _cohorts_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
+                   profiles: Profiles | None) -> dict[str, str]:
+    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator, index=index)
+    return {"cohorts.csv": emit_cohorts_csv(rows, raw=args.raw)}
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    activity = topic_activity(corpus, args.topic)
-    if not activity:
-        raise UnknownTopicError(args.topic)
-    profiles = author_profiles(corpus, args.topic, args.focus_mode, activity=activity)
+def _indicators_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
+                      profiles: Profiles) -> dict[str, str]:
+    files = _cohorts_files(args, corpus, index, profiles)
+    summaries = year_summaries(corpus, args.topic, profiles=profiles)
+    files["indicators.csv"] = emit_indicators_csv(summaries, raw=args.raw)
+    files["bands.csv"] = emit_bands_csv(production_bands(profiles), raw=args.raw)
+    return files
+
+
+def _classify_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
+                    profiles: Profiles) -> dict[str, str]:
     thresholds = resolve_thresholds(profiles, args.threshold_rule)
-    result = classify_authors(profiles, thresholds, corpus=corpus, topic=args.topic)
-    return _finish(
-        args,
-        {
-            "quadrant_authors.csv": emit_quadrant_authors_csv(result, raw=args.raw),
-            "quadrant_summary.csv": emit_quadrant_summary_csv(result, raw=args.raw),
-            "thresholds.json": emit_thresholds_json(result),
-        },
-    )
+    result = classify_authors(profiles, thresholds, corpus=corpus, index=index)
+    return {
+        "quadrant_authors.csv": emit_quadrant_authors_csv(result, raw=args.raw),
+        "quadrant_summary.csv": emit_quadrant_summary_csv(result, raw=args.raw),
+        "thresholds.json": emit_thresholds_json(result),
+    }
 
 
-def _cmd_overlay(args: argparse.Namespace) -> int:
-    _require(args, "clusters")
-    corpus = _load(args)
-    activity = topic_activity(corpus, args.topic)
-    profiles = author_profiles(corpus, args.topic, args.focus_mode, activity=activity)
-    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator, activity=activity)
-    overlay_rows = cluster_overlay(corpus, args.topic, profiles, rows)
-    rollups = area_rollup(
-        overlay_rows, corpus=corpus, topic=args.topic, profiles=profiles, cohort_rows=rows
-    )
+def _overlay_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
+                   profiles: Profiles) -> dict[str, str]:
+    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator, index=index)
+    overlay_rows = cluster_overlay(corpus, index, profiles, rows)
+    rollups = area_rollup(overlay_rows, index=index, profiles=profiles, cohort_rows=rows)
     if args.map_format == "json":
         map_name, map_text = "map.json", emit_map_json(overlay_rows, args.color_metric)
     else:
         map_name, map_text = "map.csv", emit_map_csv(overlay_rows, args.color_metric)
-    return _finish(
-        args,
-        {
-            "overlay.csv": emit_overlay_csv(overlay_rows, raw=args.raw),
-            "areas.csv": emit_areas_csv(rollups, raw=args.raw),
-            map_name: map_text,
-        },
-    )
+    return {
+        "overlay.csv": emit_overlay_csv(overlay_rows, raw=args.raw),
+        "areas.csv": emit_areas_csv(rollups, raw=args.raw),
+        map_name: map_text,
+    }
+
+
+# subcommand -> (report builder, extra required flags, builds profiles,
+# absent topic emits zero rows; otherwise it is a data error)
+_TOPIC_COMMANDS = {
+    "cohorts": (_cohorts_files, (), False, True),
+    "indicators": (_indicators_files, (), True, True),
+    "classify": (_classify_files, (), True, False),
+    "overlay": (_overlay_files, ("clusters",), True, False),
+}
+
+
+def _cmd_topic(args: argparse.Namespace) -> int:
+    build_files, required, builds_profiles, zero_rows_ok = _TOPIC_COMMANDS[args.subcommand]
+    _require(args, *required)
+    corpus = _load(args)
+    index = topic_activity(corpus, args.topic)
+    if not index:
+        if not zero_rows_ok:
+            raise UnknownTopicError(args.topic)
+        print(f"warning: topic {args.topic!r} has no publications; emitting zero rows",
+              file=sys.stderr)
+    corpus.publications.clear()  # the topic index replaces the record list
+    profiles = None
+    if builds_profiles:
+        profiles = author_profiles(corpus, args.topic, args.focus_mode, index=index)
+    return _finish(args, build_files(args, corpus, index, profiles))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -346,21 +337,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             _parse_horizon(args.horizon),
             doc_types=_split_csv(args.doc_types),
         )
-
-    pool = ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
-    try:
-        report = compare(
-            corpus, args.topic, args.topic_b, corpus_b,
-            stay_window=args.window,
-            stay_denominator=args.stay_denominator,
-            threshold_rule=args.threshold_rule,
-            focus_mode=args.focus_mode,
-            pooled_thresholds=args.pooled_thresholds,
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    report = compare(
+        corpus, args.topic, args.topic_b, corpus_b,
+        stay_window=args.window,
+        stay_denominator=args.stay_denominator,
+        threshold_rule=args.threshold_rule,
+        focus_mode=args.focus_mode,
+        pooled_thresholds=args.pooled_thresholds,
+    )
     return _finish(args, comparison_files(report, raw=args.raw))
 
 
@@ -414,10 +398,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 _HANDLERS = {
     "validate": _cmd_validate,
-    "cohorts": _cmd_cohorts,
-    "indicators": _cmd_indicators,
-    "classify": _cmd_classify,
-    "overlay": _cmd_overlay,
+    **{name: _cmd_topic for name in _TOPIC_COMMANDS},
     "compare": _cmd_compare,
     "synth": _cmd_synth,
 }

@@ -112,33 +112,58 @@ class YearCohorts:
         return tuple(flagged)
 
 
-def topic_activity(corpus: Corpus, topic: str) -> dict[str, dict[int, int]]:
-    """Per-author topic publication counts by year (the shared topic index).
+@dataclass(slots=True)
+class TopicIndex:
+    """What a topic's publications say about its authors, from one pass.
 
-    Cohort and indicator computations both reduce over this structure; the
-    CLI builds it once per run. Iteration order is sorted by author_id so
-    every downstream reduction is enumeration-order independent.
+    counts maps author_id -> {year: topic publications}, ordered by author_id
+    so every downstream reduction is enumeration-order independent. clusters
+    maps author_id -> ids of the known clusters holding the author's topic
+    publications; authors without one are absent. len() is the number of
+    topic authors.
     """
+
+    counts: dict[str, dict[int, int]]
+    clusters: dict[str, set[str]]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
+def topic_activity(corpus: Corpus, topic: str) -> TopicIndex:
+    """Build the topic index: the only pass over the publications a report makes."""
     y0, y1 = corpus.horizon
-    activity: dict[str, dict[int, int]] = {}
+    known = corpus.clusters
+    counts: dict[str, dict[int, int]] = {}
+    clusters: dict[str, set[str]] = {}
     for rec in corpus.publications:
         if topic in rec.topic_flags:
-            if not y0 <= rec.year <= y1:
+            year = rec.year
+            if not y0 <= year <= y1:
                 raise ValueError(
-                    f"publication {rec.pub_id!r} in {rec.year} lies outside horizon {y0}:{y1}"
+                    f"publication {rec.pub_id!r} in {year} lies outside horizon {y0}:{y1}"
                 )
+            cluster_id = rec.cluster_id
+            if cluster_id is not None and cluster_id not in known:
+                cluster_id = None
             for author in rec.author_ids:
-                by_year = activity.get(author)
+                by_year = counts.get(author)
                 if by_year is None:
-                    activity[author] = {rec.year: 1}
+                    counts[author] = {year: 1}
                 else:
-                    by_year[rec.year] = by_year.get(rec.year, 0) + 1
-    return {a: activity[a] for a in sorted(activity)}
+                    by_year[year] = by_year.get(year, 0) + 1
+                if cluster_id is not None:
+                    member_of = clusters.get(author)
+                    if member_of is None:
+                        clusters[author] = {cluster_id}
+                    else:
+                        member_of.add(cluster_id)
+    return TopicIndex({a: counts[a] for a in sorted(counts)}, clusters)
 
 
 def _build_year_sets(
     corpus: Corpus,
-    activity: dict[str, dict[int, int]],
+    index: TopicIndex,
     stay_window: int,
     stay_denominator: str,
 ) -> list[YearCohorts]:
@@ -151,7 +176,7 @@ def _build_year_sets(
     stay_by_year: dict[int, set[str]] = {y: set() for y in years}
     missing: set[str] = set()
 
-    for author, by_year in activity.items():
+    for author, by_year in index.counts.items():
         active_years = sorted(by_year)
         entry = active_years[0]
         new_by_year[entry].add(author)
@@ -196,20 +221,20 @@ def cohort_series(
     stay_window: int = 2,
     stay_denominator: str = NEW_AUTHORS,
     *,
-    activity: dict[str, dict[int, int]] | None = None,
+    index: TopicIndex | None = None,
 ) -> list[YearCohorts]:
     """One YearCohorts per horizon year.
 
     A topic with no publications yields all-empty rows rather than an error,
-    so series emission stays total. Pass a precomputed topic_activity() to
-    share the index with indicator summaries.
+    so series emission stays total. Pass the run's topic_activity() index to
+    avoid a second pass over the publications.
     """
     if stay_window < 1:
         raise ValueError(f"stay_window must be >= 1, got {stay_window}")
     stay_denominator = normalize_denominator(stay_denominator)
-    if activity is None:
-        activity = topic_activity(corpus, topic)
-    return _build_year_sets(corpus, activity, stay_window, stay_denominator)
+    if index is None:
+        index = topic_activity(corpus, topic)
+    return _build_year_sets(corpus, index, stay_window, stay_denominator)
 
 
 def year_cohorts(
@@ -226,8 +251,8 @@ def year_cohorts(
     if stay_window < 1:
         raise ValueError(f"stay_window must be >= 1, got {stay_window}")
     stay_denominator = normalize_denominator(stay_denominator)
-    activity = topic_activity(corpus, topic)
-    if not activity:
+    index = topic_activity(corpus, topic)
+    if not index:
         raise UnknownTopicError(topic)
-    rows = _build_year_sets(corpus, activity, stay_window, stay_denominator)
+    rows = _build_year_sets(corpus, index, stay_window, stay_denominator)
     return rows[year - y0]

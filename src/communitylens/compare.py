@@ -1,7 +1,8 @@
 """Side-by-side two-community reports.
 
 Each side runs the standalone pipeline (cohort series, indicator summaries,
-production bands, quadrant classification) with identical configuration;
+production bands, quadrant classification) with identical configuration,
+from one topic index and one set of author profiles per side;
 authors active in both communities are analyzed independently on each side
 and counted in the overlap. Difference tables subtract side b from side a
 cell by cell in exact arithmetic before rounding.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +24,16 @@ from .classify import (
     normalize_rule,
     PROMOTE,
 )
-from .cohorts import NEW_AUTHORS, ALL_AUTHORS, UnknownTopicError, YearCohorts, cohort_series, normalize_denominator, topic_activity
+from .cohorts import (
+    ALL_AUTHORS,
+    NEW_AUTHORS,
+    TopicIndex,
+    UnknownTopicError,
+    YearCohorts,
+    cohort_series,
+    normalize_denominator,
+    topic_activity,
+)
 from .corpus import Corpus
 from .indicators import (
     TOTAL_RATIO,
@@ -50,6 +59,7 @@ from .rounding import format_fixed
 @dataclass
 class CommunitySide:
     topic: str
+    index: TopicIndex
     n_authors: int
     cohort_rows: list[YearCohorts]
     summaries: list[YearIndicatorSummary]
@@ -74,21 +84,23 @@ def _build_side(
     threshold_rule: str,
     focus_mode: str,
 ) -> CommunitySide:
-    activity = topic_activity(corpus, topic)
-    if not activity:
+    index = topic_activity(corpus, topic)
+    if not index:
         raise UnknownTopicError(topic)
-    rows = cohort_series(corpus, topic, stay_window, stay_denominator, activity=activity)
-    profiles = author_profiles(corpus, topic, focus_mode, activity=activity)
-    summaries = year_summaries(corpus, topic, activity=activity)
+    rows = cohort_series(corpus, topic, stay_window, stay_denominator, index=index)
+    profiles = author_profiles(corpus, topic, focus_mode, index=index)
+    summaries = year_summaries(corpus, topic, profiles=profiles)
     bands = production_bands(profiles)
     classification = None
     note = None
     try:
         thresholds = resolve_thresholds(profiles, threshold_rule)
-        classification = classify_authors(profiles, thresholds, corpus=corpus, topic=topic)
+        classification = classify_authors(profiles, thresholds, corpus=corpus, index=index)
     except DegenerateDistributionError as exc:
         note = str(exc)
-    return CommunitySide(topic, len(profiles), rows, summaries, bands, profiles, classification, note)
+    return CommunitySide(
+        topic, index, len(profiles), rows, summaries, bands, profiles, classification, note
+    )
 
 
 def compare(
@@ -102,28 +114,14 @@ def compare(
     threshold_rule: str = PROMOTE,
     focus_mode: str = TOTAL_RATIO,
     pooled_thresholds: bool = False,
-    pool: Executor | None = None,
 ) -> ComparisonReport:
-    """Build both sides; topic_b reads from corpus_b when given.
-
-    An executor lets the two sides compute concurrently; the merge order is
-    fixed, so results are identical with or without one.
-    """
+    """Build side a, then side b; topic_b reads from corpus_b when given."""
     stay_denominator = normalize_denominator(stay_denominator)
     threshold_rule = normalize_rule(threshold_rule)
     focus_mode = normalize_focus_mode(focus_mode)
     other = corpus_b if corpus_b is not None else corpus
-    if pool is not None:
-        fut_a = pool.submit(
-            _build_side, corpus, topic_a, stay_window, stay_denominator, threshold_rule, focus_mode
-        )
-        fut_b = pool.submit(
-            _build_side, other, topic_b, stay_window, stay_denominator, threshold_rule, focus_mode
-        )
-        side_a, side_b = fut_a.result(), fut_b.result()
-    else:
-        side_a = _build_side(corpus, topic_a, stay_window, stay_denominator, threshold_rule, focus_mode)
-        side_b = _build_side(other, topic_b, stay_window, stay_denominator, threshold_rule, focus_mode)
+    side_a = _build_side(corpus, topic_a, stay_window, stay_denominator, threshold_rule, focus_mode)
+    side_b = _build_side(other, topic_b, stay_window, stay_denominator, threshold_rule, focus_mode)
 
     if pooled_thresholds:
         pooled = dict(side_a.profiles)
@@ -135,7 +133,7 @@ def compare(
             thresholds = resolve_thresholds(pooled, threshold_rule)
             for side, cp in ((side_a, corpus), (side_b, other)):
                 side.classification = classify_authors(
-                    side.profiles, thresholds, corpus=cp, topic=side.topic
+                    side.profiles, thresholds, corpus=cp, index=side.index
                 )
                 side.classification_note = None
         except DegenerateDistributionError as exc:

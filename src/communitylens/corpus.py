@@ -24,9 +24,9 @@ import csv
 import gc
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -109,10 +109,6 @@ class AuthorCareer:
     author_id: str
     first_year: int
     pubs_by_year: dict[int, int]
-
-    def total_in(self, horizon: tuple[int, int]) -> int:
-        y0, y1 = horizon
-        return sum(n for y, n in self.pubs_by_year.items() if y0 <= y <= y1)
 
 
 @dataclass(slots=True)
@@ -202,16 +198,6 @@ class Corpus:
     clusters: dict[str, ClusterMeta]
     horizon: tuple[int, int]
     load_report: LoadReport | None = None
-    _topic_labels: frozenset[str] | None = field(default=None, repr=False, compare=False)
-
-    def topic_labels(self) -> frozenset[str]:
-        """Union of all topic flags in the corpus (cached)."""
-        if self._topic_labels is None:
-            labels: set[str] = set()
-            for rec in self.publications:
-                labels.update(rec.topic_flags)
-            self._topic_labels = frozenset(labels)
-        return self._topic_labels
 
 
 # --- topic delineation ----------------------------------------------------
@@ -236,22 +222,24 @@ def _compile_terms(terms: Sequence[str]) -> list[str]:
     return compiled
 
 
+def _matches(compiled: Sequence[str], title: str | None, abstract: str | None,
+             keywords: Sequence[str] | None) -> bool:
+    # each text field is normalised once, then tested against every phrase
+    for text in (title, abstract, *(keywords or ())):
+        if text:
+            norm = _normalize(text)
+            if any(phrase in norm for phrase in compiled):
+                return True
+    return False
+
+
 def delineate(record: PublicationRecord, terms: Sequence[str]) -> bool:
     """True if any term occurs as a contiguous phrase in the record's text.
 
     Matching is case-insensitive on token boundaries, so "Big-Data" and
     "big data" are the same phrase; a phrase never spans two keywords.
     """
-    compiled = _compile_terms(terms)
-    fields = [record.title, record.abstract]
-    fields.extend(record.keywords or ())
-    for text in fields:
-        if not text:
-            continue
-        norm = _normalize(text)
-        if any(phrase in norm for phrase in compiled):
-            return True
-    return False
+    return _matches(_compile_terms(terms), record.title, record.abstract, record.keywords)
 
 
 # --- loading ----------------------------------------------------------------
@@ -288,6 +276,10 @@ def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
                 raise MalformedRecordError(source, line_no, f"non-integer value in {row[1:]}") from None
             if count < 0:
                 raise MalformedRecordError(source, line_no, f"negative count {count}")
+            if not (1 <= yfp <= 9999 and 1 <= year <= 9999):
+                raise MalformedRecordError(
+                    source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
+                )
             career = careers.get(author_id)
             if career is None:
                 careers[author_id] = AuthorCareer(author_id, yfp, {year: count} if count else {})
@@ -338,6 +330,8 @@ def load_clusters_csv(path: str | Path) -> tuple[dict[str, ClusterMeta], list[st
                 raise MalformedRecordError(source, line_no, f"bad numeric field in {row[3:]}") from None
             if total < 0:
                 raise MalformedRecordError(source, line_no, f"negative total_authors {total}")
+            if not all(v is None or math.isfinite(v) for v in (x, y)):
+                raise MalformedRecordError(source, line_no, f"non-finite coordinate in {row[4:]}")
             if area not in RESEARCH_AREAS:
                 bad_areas.add(area)
             clusters[cluster_id] = ClusterMeta(cluster_id, label, area, total, x, y)
@@ -515,15 +509,13 @@ def load_corpus(
                 if doc_type is not None:
                     doc_type = intern_str.setdefault(doc_type, doc_type)
 
-                if terms is not None and delineate_topic not in flags_key:
-                    hit = False
-                    for text in (title, abstract, *(keywords or ())):
-                        if text and any(p in _normalize(text) for p in terms):
-                            hit = True
-                            break
-                    if hit:
-                        flags_key = flags_key | {delineate_topic}
-                        report.delineated += 1
+                if (
+                    terms is not None
+                    and delineate_topic not in flags_key
+                    and _matches(terms, title, abstract, keywords)
+                ):
+                    flags_key = flags_key | {delineate_topic}
+                    report.delineated += 1
                 flags = intern_flags.setdefault(flags_key, flags_key)
 
                 publications.append(

@@ -5,11 +5,10 @@ year, per-year topic production, per-year focus (share of that year's total
 output that is on-topic), whole-horizon production and focus, and the entry
 lag between first publication and first topic publication.
 
-Aggregation has two equivalent paths: author_profiles() materializes profile
-objects for interactive use, while the summary functions can also stream over
-the raw topic index so ten-million-record corpora never hold per-author
-objects. Both paths share the same exact-rational arithmetic; count-derived
-means are Fractions, only the 95% interval half-width is a float.
+author_profiles() builds one profile per topic author from the topic index and
+the careers; it holds the integer topic and career counts of each topic year.
+Year summaries and production bands reduce over those profiles. Count-derived
+means are exact Fractions; only the 95% interval half-width is a float.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
-from .cohorts import YearCohorts, topic_activity
+from .cohorts import TopicIndex, topic_activity
 from .corpus import Corpus, MissingCareerError
 from .rounding import MeanAccumulator
 
@@ -53,52 +51,44 @@ class AuthorProfile:
     author_id: str
     first_year: int  # first publication ever
     entry_year: int  # first topic publication
-    topic_counts: dict[int, int]  # per-year topic production
-    focus_by_year: dict[int, Fraction]  # per-year percentage of output on topic
+    topic_counts: dict[int, int]  # per-year topic production, year order
+    career_counts: dict[int, int]  # total output in each topic year
     production_total: int
     focus_overall: Fraction
     entry_lag: int  # entry_year - first_year
 
-
-@dataclass(slots=True)
-class AuthorAggregate:
-    """Lightweight per-author row for streaming reductions."""
-
-    author_id: str
-    first_year: int
-    entry_year: int
-    topic_counts: dict[int, int]
-    career_counts: dict[int, int]  # total output, topic years and horizon only
-    production_total: int
-    career_total: int  # career output summed over horizon years
+    @property
+    def focus_by_year(self) -> dict[int, Fraction]:
+        """Per-year percentage of output on topic."""
+        return {y: Fraction(100 * n, self.career_counts[y]) for y, n in self.topic_counts.items()}
 
 
-def iter_author_aggregates(
+def author_profiles(
     corpus: Corpus,
     topic: str,
+    focus_mode: str = TOTAL_RATIO,
     *,
-    activity: dict[str, dict[int, int]] | None = None,
-) -> Iterator[AuthorAggregate]:
-    """Yield one aggregate per topic author, ordered by author_id.
+    index: TopicIndex | None = None,
+) -> dict[str, AuthorProfile]:
+    """One profile per distinct topic author, keyed and ordered by author_id.
 
     Raises MissingCareerError / CareerDataError when the career file lacks an
     author or undercounts a year in which they have topic output.
     """
-    if activity is None:
-        activity = topic_activity(corpus, topic)
+    focus_mode = normalize_focus_mode(focus_mode)
+    if index is None:
+        index = topic_activity(corpus, topic)
     y0, y1 = corpus.horizon
     careers = corpus.careers
-    missing = [a for a in activity if a not in careers]
+    missing = [a for a in index.counts if a not in careers]
     if missing:
         raise MissingCareerError(sorted(missing))
-    for author, topic_counts in activity.items():
+    profiles: dict[str, AuthorProfile] = {}
+    for author, by_year in index.counts.items():
         career = careers[author]
         pubs_by_year = career.pubs_by_year
+        topic_counts = dict(sorted(by_year.items()))
         career_counts: dict[int, int] = {}
-        career_total = 0
-        for y, n in pubs_by_year.items():
-            if y0 <= y <= y1:
-                career_total += n
         for y, n_topic in topic_counts.items():
             n_total = pubs_by_year.get(y, 0)
             if n_total < n_topic:
@@ -107,51 +97,25 @@ def iter_author_aggregates(
                     f"but the corpus holds {n_topic} topic record(s)"
                 )
             career_counts[y] = n_total
-        yield AuthorAggregate(
+        production = sum(topic_counts.values())
+        if focus_mode == TOTAL_RATIO:
+            career_total = sum(n for y, n in pubs_by_year.items() if y0 <= y <= y1)
+            focus = Fraction(100 * production, career_total)
+        else:
+            acc = MeanAccumulator()
+            for y, n_topic in topic_counts.items():
+                acc.add(100 * n_topic, career_counts[y])
+            focus = acc.mean()
+        entry = next(iter(topic_counts))
+        profiles[author] = AuthorProfile(
             author_id=author,
             first_year=career.first_year,
-            entry_year=min(topic_counts),
+            entry_year=entry,
             topic_counts=topic_counts,
             career_counts=career_counts,
-            production_total=sum(topic_counts.values()),
-            career_total=career_total,
-        )
-
-
-def _focus_overall(agg: AuthorAggregate, focus_mode: str) -> Fraction:
-    if focus_mode == TOTAL_RATIO:
-        return Fraction(100 * agg.production_total, agg.career_total)
-    acc = MeanAccumulator()
-    for y, n_topic in agg.topic_counts.items():
-        acc.add(100 * n_topic, agg.career_counts[y])
-    mean = acc.mean()
-    assert mean is not None  # every topic author has at least one topic year
-    return mean
-
-
-def author_profiles(
-    corpus: Corpus,
-    topic: str,
-    focus_mode: str = TOTAL_RATIO,
-    *,
-    activity: dict[str, dict[int, int]] | None = None,
-) -> dict[str, AuthorProfile]:
-    """One profile per distinct topic author, keyed and ordered by author_id."""
-    focus_mode = normalize_focus_mode(focus_mode)
-    profiles: dict[str, AuthorProfile] = {}
-    for agg in iter_author_aggregates(corpus, topic, activity=activity):
-        focus_by_year = {
-            y: Fraction(100 * n, agg.career_counts[y]) for y, n in sorted(agg.topic_counts.items())
-        }
-        profiles[agg.author_id] = AuthorProfile(
-            author_id=agg.author_id,
-            first_year=agg.first_year,
-            entry_year=agg.entry_year,
-            topic_counts=dict(sorted(agg.topic_counts.items())),
-            focus_by_year=focus_by_year,
-            production_total=agg.production_total,
-            focus_overall=_focus_overall(agg, focus_mode),
-            entry_lag=agg.entry_year - agg.first_year,
+            production_total=production,
+            focus_overall=focus,
+            entry_lag=entry - career.first_year,
         )
     return profiles
 
@@ -243,38 +207,17 @@ def year_summaries(
     corpus: Corpus,
     topic: str,
     *,
-    activity: dict[str, dict[int, int]] | None = None,
+    profiles: dict[str, AuthorProfile] | None = None,
 ) -> list[YearIndicatorSummary]:
-    """Streaming per-year summaries for every horizon year."""
+    """Per-year summaries for every horizon year, reduced over the profiles."""
+    if profiles is None:
+        profiles = author_profiles(corpus, topic)
     y0, y1 = corpus.horizon
     accs = {y: _YearAccumulator(y) for y in range(y0, y1 + 1)}
-    for agg in iter_author_aggregates(corpus, topic, activity=activity):
-        for y, n_topic in agg.topic_counts.items():
-            accs[y].add(agg.first_year, agg.entry_year, n_topic, agg.career_counts[y])
+    for p in profiles.values():
+        for y, n_topic in p.topic_counts.items():
+            accs[y].add(p.first_year, p.entry_year, n_topic, p.career_counts[y])
     return [accs[y].summary() for y in range(y0, y1 + 1)]
-
-
-def year_summary(
-    profiles: dict[str, AuthorProfile],
-    cohorts: YearCohorts,
-    year: int | None = None,
-) -> YearIndicatorSummary:
-    """Summary for one year from materialized profiles and its cohort row."""
-    if year is None:
-        year = cohorts.year
-    elif year != cohorts.year:
-        raise ValueError(f"year {year} does not match cohort row year {cohorts.year}")
-    acc = _YearAccumulator(year)
-    for author_id in sorted(cohorts.all_authors):
-        p = profiles[author_id]
-        n_topic = p.topic_counts.get(year, 0)
-        if n_topic == 0:
-            continue
-        # The year's total output is recoverable exactly from the focus
-        # fraction: focus = 100*n_topic/total.
-        total = int(Fraction(100 * n_topic) / p.focus_by_year[year])
-        acc.add(p.first_year, p.entry_year, n_topic, total)
-    return acc.summary()
 
 
 @dataclass(slots=True)
@@ -287,48 +230,19 @@ class ProductionBand:
     mean_focus: Fraction | None
 
 
-def production_bands(
-    profiles: dict[str, AuthorProfile] | Iterable[AuthorProfile],
-) -> list[ProductionBand]:
+def production_bands(profiles: dict[str, AuthorProfile]) -> list[ProductionBand]:
     """Partition authors by whole-horizon production; mean focus per band."""
-    if isinstance(profiles, dict):
-        items: Iterable[AuthorProfile] = profiles.values()
-    else:
-        items = profiles
     counts = [0] * len(BANDS)
     focus = [MeanAccumulator() for _ in BANDS]
-    total = 0
-    for p in items:
-        total += 1
+    for p in profiles.values():
         for i, (_, low, high) in enumerate(BANDS):
             if p.production_total >= low and (high is None or p.production_total <= high):
                 counts[i] += 1
                 focus[i].add(p.focus_overall.numerator, p.focus_overall.denominator)
                 break
+    total = len(profiles)
     rows = []
     for i, (label, low, high) in enumerate(BANDS):
         share = Fraction(100 * counts[i], total) if total else Fraction(0)
         rows.append(ProductionBand(label, low, high, counts[i], share, focus[i].mean()))
     return rows
-
-
-def aggregates_as_band_profiles(
-    corpus: Corpus,
-    topic: str,
-    focus_mode: str = TOTAL_RATIO,
-    *,
-    activity: dict[str, dict[int, int]] | None = None,
-) -> Iterator[AuthorProfile]:
-    """Minimal profiles (production and focus only) for streaming band tables."""
-    focus_mode = normalize_focus_mode(focus_mode)
-    for agg in iter_author_aggregates(corpus, topic, activity=activity):
-        yield AuthorProfile(
-            author_id=agg.author_id,
-            first_year=agg.first_year,
-            entry_year=agg.entry_year,
-            topic_counts={},
-            focus_by_year={},
-            production_total=agg.production_total,
-            focus_overall=_focus_overall(agg, focus_mode),
-            entry_lag=agg.entry_year - agg.first_year,
-        )

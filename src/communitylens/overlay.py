@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cohorts import YearCohorts
+from .cohorts import TopicIndex, YearCohorts
 from .corpus import Corpus
 from .indicators import AuthorProfile
 from .rounding import MeanAccumulator, percent
@@ -74,23 +74,9 @@ def _stay_context(cohort_rows: list[YearCohorts]) -> tuple[int, frozenset[str]]:
     return (max(r.year for r in determined), frozenset(stayers))
 
 
-def _cluster_members(corpus: Corpus, topic: str, known: set[str]) -> dict[str, set[str]]:
-    members: dict[str, set[str]] = {}
-    for rec in corpus.publications:
-        if rec.cluster_id is None or topic not in rec.topic_flags:
-            continue
-        if rec.cluster_id not in corpus.clusters:
-            continue
-        bucket = members.setdefault(rec.cluster_id, set())
-        for a in rec.author_ids:
-            if a in known:
-                bucket.add(a)
-    return members
-
-
 def cluster_overlay(
     corpus: Corpus,
-    topic: str,
+    index: TopicIndex,
     profiles: dict[str, AuthorProfile],
     cohort_rows: list[YearCohorts],
 ) -> list[ClusterOverlayRow]:
@@ -98,11 +84,14 @@ def cluster_overlay(
     if not corpus.clusters:
         raise ValueError("cluster metadata is required for overlays")
     horizon_end_determined, stayers = _stay_context(cohort_rows)
-    members = _cluster_members(corpus, topic, set(profiles))
+    members: dict[str, list[str]] = {}
+    for author, cluster_ids in index.clusters.items():
+        for cluster_id in cluster_ids:
+            members.setdefault(cluster_id, []).append(author)
     rows = []
     for cluster_id in sorted(members):
         meta = corpus.clusters[cluster_id]
-        authors = sorted(members[cluster_id])
+        authors = members[cluster_id]
         first = MeanAccumulator()
         entry = MeanAccumulator()
         production = MeanAccumulator()
@@ -155,19 +144,22 @@ def cluster_overlay(
 def area_rollup(
     overlay_rows: list[ClusterOverlayRow],
     *,
-    corpus: Corpus,
-    topic: str,
+    index: TopicIndex,
     profiles: dict[str, AuthorProfile],
     cohort_rows: list[YearCohorts],
 ) -> list[AreaRollup]:
     """Aggregate overlay rows per research area (deduplicating authors)."""
     horizon_end_determined, stayers = _stay_context(cohort_rows)
-    members = _cluster_members(corpus, topic, set(profiles))
     area_rows: dict[str, list[ClusterOverlayRow]] = {}
-    area_authors: dict[str, set[str]] = {}
     for row in overlay_rows:
         area_rows.setdefault(row.area, []).append(row)
-        area_authors.setdefault(row.area, set()).update(members.get(row.cluster_id, ()))
+    area_of = {row.cluster_id: row.area for row in overlay_rows}
+    area_authors: dict[str, set[str]] = {area: set() for area in area_rows}
+    for author, cluster_ids in index.clusters.items():
+        for cluster_id in cluster_ids:
+            area = area_of.get(cluster_id)
+            if area is not None:
+                area_authors[area].add(author)
     rollups = []
     for area in sorted(area_rows):
         rows = area_rows[area]
@@ -183,7 +175,7 @@ def area_rollup(
         lag = MeanAccumulator()
         eligible = 0
         stayed = 0
-        for a in sorted(area_authors[area]):
+        for a in area_authors[area]:
             p = profiles[a]
             first.add(p.first_year)
             entry.add(p.entry_year)

@@ -7,6 +7,7 @@ file takes a few minutes on purpose.
 """
 
 import logging
+import os
 import random
 import shutil
 import subprocess
@@ -17,15 +18,15 @@ from pathlib import Path
 
 import pytest
 
+import communitylens
 from communitylens.classify import (
     DegenerateDistributionError,
     classify_authors,
     resolve_thresholds,
 )
-from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series
+from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series, topic_activity
 from communitylens.corpus import Corpus, load_corpus
 from communitylens.indicators import (
-    aggregates_as_band_profiles,
     author_profiles,
     production_bands,
     year_summaries,
@@ -172,7 +173,7 @@ def test_criterion_4_oracle_equivalence():
                 groups = {a.author_id: a.group for a in result.assignments}
                 assert groups == want_quadrants["groups"]
 
-        overlay = {r.cluster_id: r for r in cluster_overlay(corpus, topic, profiles, rows)}
+        overlay = {r.cluster_id: r for r in cluster_overlay(corpus, topic_activity(corpus, topic), profiles, rows)}
         want_overlay = oracle_overlay(
             raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window
         )
@@ -201,7 +202,7 @@ def test_criterion_5_invariant_suite():
             emit_indicators_csv(year_summaries(corpus, "alpha"), raw=True),
             emit_bands_csv(production_bands(profiles), raw=True),
         ]
-        overlay = cluster_overlay(corpus, "alpha", profiles, rows)
+        overlay = cluster_overlay(corpus, topic_activity(corpus, "alpha"), profiles, rows)
         parts.append(emit_overlay_csv(overlay, raw=True))
         parts.append(emit_map_csv(overlay, "p_au"))
         return "".join(parts)
@@ -260,7 +261,7 @@ def test_criterion_5_invariant_suite():
         try:
             result = classify_authors(
                 profiles, resolve_thresholds(profiles, "promote"),
-                corpus=corpus, topic="alpha",
+                corpus=corpus, index=topic_activity(corpus, "alpha"),
             )
         except (DegenerateDistributionError, ValueError):
             result = None
@@ -299,7 +300,7 @@ def test_criterion_6_generator_statistics(tmp_path):
     corpus = load_corpus(
         str(tmp_path / "publications.jsonl"), careers_path=str(tmp_path / "careers.csv")
     )
-    bands = production_bands(aggregates_as_band_profiles(corpus, "synth"))
+    bands = production_bands(author_profiles(corpus, "synth"))
     one_paper_share = float(next(b.share for b in bands if b.label == "1"))
     assert abs(one_paper_share - 60.8) <= 2.0
 
@@ -324,6 +325,10 @@ def test_criterion_7_determinism_at_scale(tmp_path_factory):
     truth = generate(config, data)
     assert truth.n_publications >= 10_000_000
 
+    # the subprocesses import the same source tree as this test process
+    src = str(Path(communitylens.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     digests = {}
     for threads in (1, 4, 16):
         out = base / f"run{threads}"
@@ -334,7 +339,7 @@ def test_criterion_7_determinism_at_scale(tmp_path_factory):
             "--topic", "scale", "--threads", str(threads), "--out", str(out),
         ]
         start = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
         assert elapsed < 120.0, f"--threads {threads} took {elapsed:.1f}s"

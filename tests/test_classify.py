@@ -14,6 +14,7 @@ from communitylens.classify import (
     normalize_rule,
     resolve_thresholds,
 )
+from communitylens.cohorts import topic_activity
 from communitylens.indicators import author_profiles
 
 from oracles import (
@@ -166,7 +167,7 @@ def test_area_shares_count_author_once_per_area():
     corpus = make_corpus(pubs, careers, clusters)
     profiles = author_profiles(corpus, "bd")
     result = classify_authors(
-        profiles, resolve_thresholds(profiles), corpus=corpus, topic="bd"
+        profiles, resolve_thresholds(profiles), corpus=corpus, index=topic_activity(corpus, "bd")
     )
     assert set(result.by_area) == {
         "Mathematics & Computer Science",

@@ -70,6 +70,19 @@ def test_unknown_topic_classify_is_data_error(bd2012_paths, tmp_path, capsys):
     assert not out.exists()  # failed runs leave nothing behind
 
 
+def test_unknown_topic_overlay_is_data_error(bd2012_paths, tmp_path, capsys):
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,label,area,total_authors,x,y\n"
+                        "k1,one,Life & Earth Sciences,10,1.0,2.0\n")
+    out = tmp_path / "run"
+    pubs, careers = bd2012_paths
+    code = main(["overlay", "--corpus", str(pubs), "--careers", str(careers),
+                 "--clusters", str(clusters), "--topic", "nope", "--out", str(out)])
+    assert code == 1
+    assert "'nope' has no publications" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_topic_cohorts_emits_zero_rows(bd2012_paths, tmp_path, capsys):
     out = tmp_path / "run"
     pubs, careers = bd2012_paths

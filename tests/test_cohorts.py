@@ -147,9 +147,11 @@ def test_multi_author_counted_once_per_year():
 
 def test_topic_activity_shared_index(bd2012_corpus):
     activity = topic_activity(bd2012_corpus, "big data")
-    assert list(activity) == sorted(activity)
-    assert activity["old001"] == {2010: 1, 2012: 1}
-    rows_a = cohort_series(bd2012_corpus, "big data", activity=activity)
+    assert len(activity) == 265
+    assert list(activity.counts) == sorted(activity.counts)
+    assert activity.counts["old001"] == {2010: 1, 2012: 1}
+    assert activity.clusters == {}  # the fixture has no cluster metadata
+    rows_a = cohort_series(bd2012_corpus, "big data", index=activity)
     rows_b = cohort_series(bd2012_corpus, "big data")
     assert rows_a == rows_b
 

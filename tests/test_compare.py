@@ -1,11 +1,10 @@
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from communitylens.classify import classify_authors, resolve_thresholds
-from communitylens.cohorts import UnknownTopicError, cohort_series
+from communitylens.cohorts import UnknownTopicError, cohort_series, topic_activity
 from communitylens.compare import (
     compare,
     comparison_files,
@@ -70,7 +69,7 @@ def test_sides_match_standalone_pipeline():
         assert side.profiles == profiles
         assert side.bands == production_bands(profiles)
         want = classify_authors(
-            profiles, resolve_thresholds(profiles, "promote"), corpus=corpus, topic=topic
+            profiles, resolve_thresholds(profiles, "promote"), corpus=corpus, index=topic_activity(corpus, topic)
         )
         assert side.classification == want
     assert report.overlap == 1  # only x1 holds both flags
@@ -157,14 +156,6 @@ def test_comparison_file_set_is_complete():
     for body in files.values():
         assert body.endswith("\n")
         assert "\r" not in body
-
-
-def test_executor_has_no_effect_on_output():
-    corpus = random_corpus(3)
-    serial = comparison_files(compare(corpus, "alpha", "beta"))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = comparison_files(compare(corpus, "alpha", "beta", pool=pool))
-    assert serial == threaded
 
 
 def test_diff_rejects_mismatched_series():

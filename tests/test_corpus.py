@@ -194,6 +194,16 @@ def test_careers_yfp_mismatch(tmp_path):
         load_careers_csv(path)
 
 
+@pytest.mark.parametrize("row", [("a1", -5, -5, 1), ("a1", 2005, 10000, 1), ("a1", 0, 2005, 1)])
+def test_careers_years_out_of_range(tmp_path, row):
+    path = careers_csv(tmp_path, [("a0", 2005, 2005, 1), row])
+    with pytest.raises(MalformedRecordError) as err:
+        load_careers_csv(path)
+    assert err.value.source == path
+    assert err.value.line == 3
+    assert "1..9999" in str(err.value)
+
+
 def test_careers_no_positive_counts(tmp_path):
     path = careers_csv(tmp_path, [("a1", 2005, 2005, 0)])
     with pytest.raises(CareerConflictError):
@@ -252,6 +262,17 @@ def test_load_clusters(tmp_path):
     assert clusters["k1"].total_authors == 100
     assert clusters["k1"].x == 1.5
     assert bad == []
+
+
+@pytest.mark.parametrize("x, y", [("nan", "1.0"), ("1.0", "inf"), ("-inf", "")])
+def test_cluster_coordinates_must_be_finite(tmp_path, x, y):
+    area = "Life & Earth Sciences"
+    path = clusters_csv(tmp_path, [("k0", "ok", area, 5, 0.5, 0.5), ("k1", "bad", area, 5, x, y)])
+    with pytest.raises(MalformedRecordError) as err:
+        load_clusters_csv(path)
+    assert err.value.source == path
+    assert err.value.line == 3
+    assert "non-finite" in str(err.value)
 
 
 def test_unknown_area_reported_not_fatal(tmp_path):
@@ -428,9 +449,3 @@ def test_clusters_round_trip(tmp_path):
     again, bad = load_clusters_csv(path)
     assert again == corpus.clusters
     assert bad == []
-
-
-def test_topic_labels_cached(bd2012_corpus):
-    labels = bd2012_corpus.topic_labels()
-    assert labels == frozenset({"big data"})
-    assert bd2012_corpus.topic_labels() is labels

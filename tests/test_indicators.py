@@ -4,19 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from communitylens.cohorts import cohort_series, year_cohorts
+from communitylens.cohorts import cohort_series, topic_activity
 from communitylens.corpus import MissingCareerError
 from communitylens.indicators import (
     BANDS,
     MEAN_ANNUAL,
     TOTAL_RATIO,
     CareerDataError,
-    aggregates_as_band_profiles,
     author_profiles,
     normalize_focus_mode,
     production_bands,
     year_summaries,
-    year_summary,
 )
 
 from oracles import corpus_to_raw, make_corpus, oracle_profiles, random_raw_corpus
@@ -26,6 +24,7 @@ def test_single_author_profile():
     corpus = make_corpus([("p1", 2012, ["a1"], ["bd"])], careers={"a1": (2012, {2012: 2})})
     p = author_profiles(corpus, "bd")["a1"]
     assert p.production_total == 1
+    assert p.topic_counts == {2012: 1} and p.career_counts == {2012: 2}
     assert p.focus_by_year == {2012: Fraction(50)}
     assert p.focus_overall == Fraction(50)
     assert p.entry_year == 2012 and p.first_year == 2012 and p.entry_lag == 0
@@ -87,18 +86,16 @@ def test_first_year_group_means(age_corpus):
 
 
 def test_year_summary_matches_streaming(bd2012_corpus):
-    profiles = author_profiles(bd2012_corpus, "big data")
-    rows = cohort_series(bd2012_corpus, "big data")
-    streamed = year_summaries(bd2012_corpus, "big data")
-    for cohort_row, want in zip(rows, streamed):
-        assert year_summary(profiles, cohort_row) == want
-
-
-def test_year_summary_year_mismatch(bd2012_corpus):
-    profiles = author_profiles(bd2012_corpus, "big data")
-    row = year_cohorts(bd2012_corpus, "big data", 2012)
-    with pytest.raises(ValueError):
-        year_summary(profiles, row, year=2013)
+    # summaries from the run's shared index and profiles equal the standalone
+    # call, and their author counts agree with the cohort rows
+    index = topic_activity(bd2012_corpus, "big data")
+    profiles = author_profiles(bd2012_corpus, "big data", index=index)
+    rows = cohort_series(bd2012_corpus, "big data", index=index)
+    summaries = year_summaries(bd2012_corpus, "big data", profiles=profiles)
+    assert summaries == year_summaries(bd2012_corpus, "big data")
+    for cohort_row, s in zip(rows, summaries):
+        assert s.year == cohort_row.year
+        assert (s.n_active, s.n_new, s.n_old) == (cohort_row.n_all, cohort_row.n_new, cohort_row.n_old)
 
 
 def test_empty_year_cells():
@@ -162,9 +159,10 @@ def test_band_edges():
 
 
 def test_streaming_band_profiles_match(threshold_corpus):
-    streamed = production_bands(aggregates_as_band_profiles(threshold_corpus, "bd"))
-    materialized = production_bands(author_profiles(threshold_corpus, "bd"))
-    assert streamed == materialized
+    # bands from profiles built on the run's shared index equal the standalone call
+    index = topic_activity(threshold_corpus, "bd")
+    shared = production_bands(author_profiles(threshold_corpus, "bd", index=index))
+    assert shared == production_bands(author_profiles(threshold_corpus, "bd"))
 
 
 def test_bands_empty_topic():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from communitylens.cohorts import cohort_series
+from communitylens.cohorts import cohort_series, topic_activity
 from communitylens.indicators import author_profiles
 from communitylens.overlay import (
     ClusterOverlayRow,
@@ -28,12 +28,11 @@ MATHS = "Mathematics & Computer Science"
 
 
 def overlay_pipeline(corpus, topic="bd", window=2):
-    profiles = author_profiles(corpus, topic)
-    rows = cohort_series(corpus, topic, stay_window=window)
-    overlay = cluster_overlay(corpus, topic, profiles, rows)
-    areas = area_rollup(
-        overlay, corpus=corpus, topic=topic, profiles=profiles, cohort_rows=rows
-    )
+    index = topic_activity(corpus, topic)
+    profiles = author_profiles(corpus, topic, index=index)
+    rows = cohort_series(corpus, topic, stay_window=window, index=index)
+    overlay = cluster_overlay(corpus, index, profiles, rows)
+    areas = area_rollup(overlay, index=index, profiles=profiles, cohort_rows=rows)
     return overlay, areas
 
 
@@ -160,7 +159,7 @@ def test_overlay_requires_metadata(bd2012_corpus):
     profiles = author_profiles(bd2012_corpus, "big data")
     rows = cohort_series(bd2012_corpus, "big data")
     with pytest.raises(ValueError):
-        cluster_overlay(bd2012_corpus, "big data", profiles, rows)
+        cluster_overlay(bd2012_corpus, topic_activity(bd2012_corpus, "big data"), profiles, rows)
 
 
 def test_p_stay_pools_eligible_entries():
@@ -309,9 +308,10 @@ def test_overlay_matches_oracle_on_random_corpora():
         corpus = make_corpus(pubs, careers, clusters)
         raw_pubs, raw_careers, raw_clusters = corpus_to_raw(corpus)
         for topic in ("alpha", "beta"):
-            profiles = author_profiles(corpus, topic)
-            rows = cohort_series(corpus, topic, stay_window=2)
-            overlay = cluster_overlay(corpus, topic, profiles, rows)
+            index = topic_activity(corpus, topic)
+            profiles = author_profiles(corpus, topic, index=index)
+            rows = cohort_series(corpus, topic, stay_window=2, index=index)
+            overlay = cluster_overlay(corpus, index, profiles, rows)
             want = oracle_overlay(
                 raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, 2
             )
@@ -325,9 +325,7 @@ def test_overlay_matches_oracle_on_random_corpora():
                 assert r.mean_entry_year == w["mean_entry"]
                 assert r.mean_production == w["mean_production"]
                 assert r.mean_focus == w["mean_focus"]
-            areas = area_rollup(
-                overlay, corpus=corpus, topic=topic, profiles=profiles, cohort_rows=rows
-            )
+            areas = area_rollup(overlay, index=index, profiles=profiles, cohort_rows=rows)
             want_areas = oracle_area_rollup(
                 raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, 2
             )

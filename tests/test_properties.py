@@ -10,7 +10,7 @@ from communitylens.classify import (
     classify_authors,
     resolve_thresholds,
 )
-from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series
+from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series, topic_activity
 from communitylens.corpus import Corpus, PublicationRecord, delineate
 from communitylens.indicators import author_profiles, production_bands
 from communitylens.overlay import cluster_overlay
@@ -115,7 +115,9 @@ def test_quadrants_partition_authors(seed, rule):
         thresholds = resolve_thresholds(profiles, rule)
     except DegenerateDistributionError:
         return
-    result = classify_authors(profiles, thresholds, corpus=corpus, topic="alpha")
+    result = classify_authors(
+        profiles, thresholds, corpus=corpus, index=topic_activity(corpus, "alpha")
+    )
     assert [a.author_id for a in result.assignments] == sorted(profiles)
     assert sum(result.community.counts.values()) == len(profiles)
     assert sum(result.community.shares().values(), Fraction(0)) == Fraction(100)
@@ -140,7 +142,7 @@ def test_record_order_never_changes_reports(seed, shuffle_seed):
             emit_bands_csv(production_bands(profiles), raw=True),
         ]
         if c.clusters:
-            parts.append(emit_overlay_csv(cluster_overlay(c, "alpha", profiles, rows)))
+            parts.append(emit_overlay_csv(cluster_overlay(c, topic_activity(c, "alpha"), profiles, rows)))
         return "".join(parts)
 
     assert render(corpus) == render(shuffled)
