@@ -37,7 +37,6 @@ from .corpus import (
     RESEARCH_AREAS,
     delineate,
     load_corpus,
-    validate,
 )
 from .indicators import (
     AuthorProfile,
@@ -92,7 +91,6 @@ __all__ = [
     "production_bands",
     "resolve_thresholds",
     "topic_activity",
-    "validate",
     "year_cohorts",
     "year_summaries",
 ]

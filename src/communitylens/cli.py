@@ -4,9 +4,10 @@ Subcommands: validate | cohorts | indicators | classify | overlay | compare |
 synth. Global flags may come from a JSON config file named by the
 COMMUNITYLENS_CONFIG environment variable; explicit flags always win.
 
-Exit codes: 0 success, 1 data/validation failure (defect listing on stderr),
-2 usage error. Reports are staged in memory and written atomically (temp file
-+ rename, manifest.json last), so a failed run leaves no partial outputs.
+Exit codes: 0 success, 1 data failure (such as a corpus that does not load,
+named by file and line on stderr), 2 usage error. Reports are staged in memory
+and written atomically (temp file + rename, manifest.json last), so a failed
+run leaves no partial outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import __version__
 from .classify import DegenerateDistributionError, classify_authors, resolve_thresholds
 from .cohorts import TopicIndex, UnknownTopicError, cohort_series, topic_activity
 from .compare import compare, comparison_files
-from .corpus import Corpus, CorpusError, load_corpus, validate
+from .corpus import Corpus, CorpusError, load_corpus
 from .indicators import (
     AuthorProfile,
     CareerDataError,
@@ -134,7 +135,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
                         default=defaults.get("focus_mode", "total"))
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("validate", parents=[common], help="check corpus files, list defects")
+    sub.add_parser("validate", parents=[common],
+                   help="load corpus files, count what was dropped or repaired")
     sub.add_parser("cohorts", parents=[common], help="per-year cohort table")
     sub.add_parser("indicators", parents=[common], help="cohorts plus indicator summaries and bands")
     sub.add_parser("classify", parents=[common], help="quadrant classification")
@@ -232,19 +234,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     except CorpusError as exc:
         print(f"invalid corpus: {exc}", file=sys.stderr)
         return 1
-    report = validate(corpus)
-    load_report = corpus.load_report
-    lines = list(report.summary_lines())
-    if load_report is not None:
-        lines.insert(0, f"publications loaded: {load_report.publications_loaded}")
-        lines.insert(1, f"dropped outside horizon: {load_report.dropped_out_of_horizon}")
-        lines.insert(2, f"unknown cluster references repaired: {load_report.unknown_cluster_count}")
-        lines.insert(3, f"careers: {load_report.careers_total} ({load_report.career_source})")
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(corpus.load_report.summary_lines()) + "\n"
     print(text, end="")
     if args.out:
         _finish(args, {"validation.txt": text})
-    return 0 if report.is_clean else 1
+    return 0
 
 
 # --- topic subcommands --------------------------------------------------------

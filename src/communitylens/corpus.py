@@ -1,4 +1,4 @@
-"""Corpus loading, validation, delineation, and canonical writers.
+"""Corpus loading, delineation, and canonical writers.
 
 A corpus couples three inputs:
 
@@ -16,6 +16,12 @@ downstream history lookups only ever see within-horizon activity. Career
 derivation happens before the horizon drop: an author's first year and totals
 reflect every parsed record, which keeps derived careers consistent with what
 a supplied careers file built from the same stream would say.
+
+Loading is the only corpus check. Every defect (undecodable or malformed
+line, duplicate pub_id, missing or conflicting career) raises a CorpusError
+that names the file and line, or the authors concerned; what the load
+dropped or repaired is counted in its LoadReport. A Corpus that loaded is
+therefore consistent, and nothing re-checks it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +52,9 @@ DEFAULT_HORIZON = (2008, 2017)
 _CAREERS_HEADER = ["author_id", "yfp", "year", "count"]
 _CLUSTERS_HEADER = ["cluster_id", "label", "area", "total_authors", "x", "y"]
 
+# A JSON escape of a UTF-16 surrogate, paired or not
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
 # Cap on per-item detail kept in reports and error messages; counts stay exact.
 _SAMPLE_CAP = 50
 
@@ -62,10 +71,9 @@ class MalformedRecordError(CorpusError):
         self.reason = reason
 
 
-class DuplicatePubIdError(CorpusError):
-    def __init__(self, line: int, pub_id: str):
-        super().__init__(f"duplicate pub_id {pub_id!r} at line {line}")
-        self.line = line
+class DuplicatePubIdError(MalformedRecordError):
+    def __init__(self, source: str, line: int, pub_id: str):
+        super().__init__(source, line, f"duplicate pub_id {pub_id!r}")
         self.pub_id = pub_id
 
 
@@ -137,57 +145,26 @@ class LoadReport:
     career_source: str = "derived"
     careers_total: int = 0
 
-
-@dataclass
-class ValidationReport:
-    """Defects found in an in-memory corpus. Lists are sorted and exact.
-
-    Hard defects (duplicates, malformed records, career problems) make the
-    corpus unusable; unknown cluster references, out-of-horizon records and
-    non-canonical areas are warnings that load_corpus already handles.
-    """
-
-    duplicate_pub_ids: list[str] = field(default_factory=list)
-    malformed: list[tuple[str, str]] = field(default_factory=list)
-    missing_careers: list[str] = field(default_factory=list)
-    career_conflicts: list[tuple[str, str]] = field(default_factory=list)
-    out_of_horizon: list[str] = field(default_factory=list)
-    unknown_clusters: list[tuple[str, str]] = field(default_factory=list)
-    unknown_areas: list[str] = field(default_factory=list)
-
-    @property
-    def hard_defects(self) -> int:
-        return (
-            len(self.duplicate_pub_ids)
-            + len(self.malformed)
-            + len(self.missing_careers)
-            + len(self.career_conflicts)
-        )
-
-    @property
-    def warnings(self) -> int:
-        return len(self.out_of_horizon) + len(self.unknown_clusters) + len(self.unknown_areas)
-
-    @property
-    def is_clean(self) -> bool:
-        return self.hard_defects == 0
-
     def summary_lines(self) -> list[str]:
+        """The report of the `validate` subcommand, one count per line.
+
+        Tools read the first two lines, so their wording and order are fixed.
+        """
+        y0, y1 = self.horizon
         out = [
-            f"duplicate pub_ids: {len(self.duplicate_pub_ids)}",
-            f"malformed records: {len(self.malformed)}",
-            f"missing careers: {len(self.missing_careers)}",
-            f"career conflicts: {len(self.career_conflicts)}",
-            f"out-of-horizon records (warning): {len(self.out_of_horizon)}",
-            f"unknown cluster references (warning): {len(self.unknown_clusters)}",
-            f"non-canonical areas (warning): {len(self.unknown_areas)}",
+            f"publications loaded: {self.publications_loaded}",
+            f"dropped outside horizon: {self.dropped_out_of_horizon}",
+            f"horizon: {y0}:{y1}",
+            f"publications parsed: {self.publications_parsed}",
+            f"dropped by doc type: {self.dropped_doc_type}",
+            f"delineated: {self.delineated}",
+            f"unknown cluster references repaired: {self.unknown_cluster_count}",
         ]
-        for name in ("duplicate_pub_ids", "missing_careers", "unknown_areas"):
-            for item in getattr(self, name)[:_SAMPLE_CAP]:
-                out.append(f"  {name}: {item}")
-        for name in ("malformed", "career_conflicts", "unknown_clusters"):
-            for subject, detail in getattr(self, name)[:_SAMPLE_CAP]:
-                out.append(f"  {name}: {subject}: {detail}")
+        out += [f"  unknown cluster: {pub_id}: {cluster_id}"
+                for pub_id, cluster_id in self.unknown_cluster_samples]
+        out.append(f"careers: {self.careers_total} ({self.career_source})")
+        out.append(f"non-canonical areas: {len(self.unknown_areas)}")
+        out += [f"  non-canonical area: {area}" for area in self.unknown_areas[:_SAMPLE_CAP]]
         return out
 
 
@@ -252,42 +229,77 @@ def _check_horizon(horizon: tuple[int, int]) -> tuple[int, int]:
     return (y0, y1)
 
 
+def _undecodable_line(source: str, newline: str | None) -> MalformedRecordError:
+    """Locate the first line of a file that is not valid UTF-8.
+
+    Runs only after a strict read failed: the decoder names an offset in its
+    buffer, not a line, so the file is read again with each undecodable byte
+    escaped to a lone surrogate and split into lines the way the failed read did.
+    """
+    line_no = 0
+    with open(source, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                return MalformedRecordError(source, line_no, f"invalid UTF-8 byte 0x{byte:02x}")
+    return MalformedRecordError(source, line_no, "invalid UTF-8")  # the file changed meanwhile
+
+
+def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, row) for each non-blank data row of a CSV file.
+
+    The first line must be exactly ``header`` and every row as wide. Any other
+    defect of the file, an undecodable byte included, is a MalformedRecordError.
+    """
+    source = str(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != header:
+                raise MalformedRecordError(source, 1, f"expected header {','.join(header)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise MalformedRecordError(
+                        source, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise MalformedRecordError(source, reader.line_num, f"invalid CSV: {exc}") from None
+        except UnicodeDecodeError:
+            raise _undecodable_line(source, newline="") from None
+
+
 def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
     """Parse a long-format careers file into one AuthorCareer per author."""
     careers: dict[str, AuthorCareer] = {}
     conflicts: list[tuple[str, str]] = []
     source = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CAREERS_HEADER:
-            raise MalformedRecordError(source, 1, f"expected header {','.join(_CAREERS_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MalformedRecordError(source, line_no, f"expected 4 columns, got {len(row)}")
-            author_id = row[0]
-            if not author_id:
-                raise MalformedRecordError(source, line_no, "empty author_id")
-            try:
-                yfp, year, count = int(row[1]), int(row[2]), int(row[3])
-            except ValueError:
-                raise MalformedRecordError(source, line_no, f"non-integer value in {row[1:]}") from None
-            if count < 0:
-                raise MalformedRecordError(source, line_no, f"negative count {count}")
-            if not (1 <= yfp <= 9999 and 1 <= year <= 9999):
-                raise MalformedRecordError(
-                    source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
-                )
-            career = careers.get(author_id)
-            if career is None:
-                careers[author_id] = AuthorCareer(author_id, yfp, {year: count} if count else {})
-            else:
-                if career.first_year != yfp:
-                    conflicts.append((author_id, f"inconsistent yfp {career.first_year} vs {yfp}"))
-                if count:
-                    career.pubs_by_year[year] = career.pubs_by_year.get(year, 0) + count
+    for line_no, row in _csv_rows(path, _CAREERS_HEADER):
+        author_id = row[0]
+        if not author_id:
+            raise MalformedRecordError(source, line_no, "empty author_id")
+        try:
+            yfp, year, count = int(row[1]), int(row[2]), int(row[3])
+        except ValueError:
+            raise MalformedRecordError(source, line_no, f"non-integer value in {row[1:]}") from None
+        if count < 0:
+            raise MalformedRecordError(source, line_no, f"negative count {count}")
+        if not (1 <= yfp <= 9999 and 1 <= year <= 9999):
+            raise MalformedRecordError(
+                source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
+            )
+        career = careers.get(author_id)
+        if career is None:
+            careers[author_id] = AuthorCareer(author_id, yfp, {year: count} if count else {})
+        else:
+            if career.first_year != yfp:
+                conflicts.append((author_id, f"inconsistent yfp {career.first_year} vs {yfp}"))
+            if count:
+                career.pubs_by_year[year] = career.pubs_by_year.get(year, 0) + count
     for author_id in careers:
         career = careers[author_id]
         if not career.pubs_by_year:
@@ -307,34 +319,25 @@ def load_clusters_csv(path: str | Path) -> tuple[dict[str, ClusterMeta], list[st
     clusters: dict[str, ClusterMeta] = {}
     bad_areas: set[str] = set()
     source = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CLUSTERS_HEADER:
-            raise MalformedRecordError(source, 1, f"expected header {','.join(_CLUSTERS_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise MalformedRecordError(source, line_no, f"expected 6 columns, got {len(row)}")
-            cluster_id, label, area, total_raw, x_raw, y_raw = row
-            if not cluster_id:
-                raise MalformedRecordError(source, line_no, "empty cluster_id")
-            if cluster_id in clusters:
-                raise MalformedRecordError(source, line_no, f"duplicate cluster_id {cluster_id!r}")
-            try:
-                total = int(total_raw)
-                x = float(x_raw) if x_raw else None
-                y = float(y_raw) if y_raw else None
-            except ValueError:
-                raise MalformedRecordError(source, line_no, f"bad numeric field in {row[3:]}") from None
-            if total < 0:
-                raise MalformedRecordError(source, line_no, f"negative total_authors {total}")
-            if not all(v is None or math.isfinite(v) for v in (x, y)):
-                raise MalformedRecordError(source, line_no, f"non-finite coordinate in {row[4:]}")
-            if area not in RESEARCH_AREAS:
-                bad_areas.add(area)
-            clusters[cluster_id] = ClusterMeta(cluster_id, label, area, total, x, y)
+    for line_no, row in _csv_rows(path, _CLUSTERS_HEADER):
+        cluster_id, label, area, total_raw, x_raw, y_raw = row
+        if not cluster_id:
+            raise MalformedRecordError(source, line_no, "empty cluster_id")
+        if cluster_id in clusters:
+            raise MalformedRecordError(source, line_no, f"duplicate cluster_id {cluster_id!r}")
+        try:
+            total = int(total_raw)
+            x = float(x_raw) if x_raw else None
+            y = float(y_raw) if y_raw else None
+        except ValueError:
+            raise MalformedRecordError(source, line_no, f"bad numeric field in {row[3:]}") from None
+        if total < 0:
+            raise MalformedRecordError(source, line_no, f"negative total_authors {total}")
+        if not all(v is None or math.isfinite(v) for v in (x, y)):
+            raise MalformedRecordError(source, line_no, f"non-finite coordinate in {row[4:]}")
+        if area not in RESEARCH_AREAS:
+            bad_areas.add(area)
+        clusters[cluster_id] = ClusterMeta(cluster_id, label, area, total, x, y)
     return clusters, sorted(bad_areas)
 
 
@@ -350,8 +353,9 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-check a corpus.
 
-    Raises MalformedRecordError / DuplicatePubIdError on bad publication
-    lines, MissingCareerError when supplied careers omit an observed author,
+    Raises MalformedRecordError (DuplicatePubIdError is one) naming the file
+    and line of any undecodable or bad line in the three inputs,
+    MissingCareerError when supplied careers omit an observed author,
     and CareerConflictError when supplied careers contradict the stream
     (first year later than an observed record, or a per-year count below the
     number of observed records). Unknown cluster references are repaired to
@@ -410,8 +414,18 @@ def load_corpus(
                     raw = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise MalformedRecordError(source, line_no, f"invalid JSON: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:  # integer over the digit limit, deep nesting
+                    raise MalformedRecordError(source, line_no, f"invalid JSON: {exc}") from None
                 if type(raw) is not dict:
                     raise MalformedRecordError(source, line_no, "record is not an object")
+                # json.loads turns an escape such as \ud800 without its pair into a
+                # lone surrogate, which no UTF-8 report could hold; a one-character
+                # test keeps lines without any escape off the slower search
+                if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                    try:
+                        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise MalformedRecordError(source, line_no, "unpaired UTF-16 surrogate escape") from None
                 try:
                     pub_id = raw["pub_id"]
                     year = raw["year"]
@@ -430,7 +444,7 @@ def load_corpus(
                 if len(set(authors)) != len(authors):
                     raise MalformedRecordError(source, line_no, "duplicate author_id within record")
                 if pub_id in seen_ids:
-                    raise DuplicatePubIdError(line_no, pub_id)
+                    raise DuplicatePubIdError(source, line_no, pub_id)
                 seen_ids.add(pub_id)
                 report.publications_parsed += 1
 
@@ -523,6 +537,8 @@ def load_corpus(
                         pub_id, year, author_tuple, flags, cluster_id, doc_type, title, abstract, keywords
                     )
                 )
+    except UnicodeDecodeError:
+        raise _undecodable_line(source, newline=None) from None
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -568,77 +584,6 @@ def load_corpus(
         )
 
     return Corpus(publications, careers, clusters, horizon, load_report=report)
-
-
-# --- validation of in-memory corpora ---------------------------------------
-
-
-def validate(corpus: Corpus) -> ValidationReport:
-    """Re-derive every defect and warning for an in-memory corpus."""
-    report = ValidationReport()
-    y0, y1 = corpus.horizon
-    seen: set[str] = set()
-    observed: dict[str, dict[int, int]] = {}
-    missing: set[str] = set()
-    unknown_clusters: list[tuple[str, str]] = []
-
-    for rec in corpus.publications:
-        if rec.pub_id in seen:
-            report.duplicate_pub_ids.append(rec.pub_id)
-        seen.add(rec.pub_id)
-        if not rec.author_ids:
-            report.malformed.append((rec.pub_id, "empty author list"))
-        elif len(set(rec.author_ids)) != len(rec.author_ids):
-            report.malformed.append((rec.pub_id, "duplicate author_id within record"))
-        if not 1 <= rec.year <= 9999:
-            report.malformed.append((rec.pub_id, f"year {rec.year} out of range"))
-        elif not y0 <= rec.year <= y1:
-            report.out_of_horizon.append(rec.pub_id)
-        if any(not f for f in rec.topic_flags):
-            report.malformed.append((rec.pub_id, "empty topic flag"))
-        if rec.cluster_id is not None and corpus.clusters and rec.cluster_id not in corpus.clusters:
-            unknown_clusters.append((rec.pub_id, rec.cluster_id))
-        for a in rec.author_ids:
-            career = corpus.careers.get(a)
-            if career is None:
-                missing.add(a)
-                continue
-            by_year = observed.get(a)
-            if by_year is None:
-                observed[a] = {rec.year: 1}
-            else:
-                by_year[rec.year] = by_year.get(rec.year, 0) + 1
-
-    for author_id in sorted(observed):
-        career = corpus.careers[author_id]
-        if not career.pubs_by_year:
-            report.career_conflicts.append((author_id, "no positive publication counts"))
-            continue
-        if min(career.pubs_by_year) < career.first_year:
-            report.career_conflicts.append(
-                (author_id, f"count in {min(career.pubs_by_year)} precedes yfp {career.first_year}")
-            )
-        for year in sorted(observed[author_id]):
-            n_seen = observed[author_id][year]
-            if year < career.first_year:
-                report.career_conflicts.append(
-                    (author_id, f"record in {year} precedes yfp {career.first_year}")
-                )
-            elif career.pubs_by_year.get(year, 0) < n_seen:
-                report.career_conflicts.append(
-                    (author_id, f"{n_seen} record(s) in {year} exceed career count {career.pubs_by_year.get(year, 0)}")
-                )
-
-    report.missing_careers = sorted(missing)
-    report.duplicate_pub_ids.sort()
-    report.malformed.sort()
-    report.out_of_horizon.sort()
-    report.unknown_clusters = sorted(unknown_clusters)
-    if corpus.clusters:
-        report.unknown_areas = sorted(
-            {c.area for c in corpus.clusters.values() if c.area not in RESEARCH_AREAS}
-        )
-    return report
 
 
 # --- canonical writers ------------------------------------------------------

@@ -322,33 +322,35 @@ def test_criterion_7_determinism_at_scale(tmp_path_factory):
         lotka_alpha=1.5,
         topic="scale",
     )
-    truth = generate(config, data)
-    assert truth.n_publications >= 10_000_000
+    try:
+        truth = generate(config, data)
+        assert truth.n_publications >= 10_000_000
 
-    # the subprocesses import the same source tree as this test process
-    src = str(Path(communitylens.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    digests = {}
-    for threads in (1, 4, 16):
-        out = base / f"run{threads}"
-        cmd = [
-            sys.executable, "-m", "communitylens.cli", "indicators",
-            "--corpus", str(data / "publications.jsonl"),
-            "--careers", str(data / "careers.csv"),
-            "--topic", "scale", "--threads", str(threads), "--out", str(out),
-        ]
-        start = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, proc.stderr
-        assert elapsed < 120.0, f"--threads {threads} took {elapsed:.1f}s"
-        digests[threads] = tuple(
-            sha256_file(out / name)
-            for name in ("cohorts.csv", "indicators.csv", "bands.csv")
-        )
-    assert digests[1] == digests[4] == digests[16]
-    shutil.rmtree(data)  # ~1 GB; reclaim on success
+        # the subprocesses import the same source tree as this test process
+        src = str(Path(communitylens.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        digests = {}
+        for threads in (1, 4, 16):
+            out = base / f"run{threads}"
+            cmd = [
+                sys.executable, "-m", "communitylens.cli", "indicators",
+                "--corpus", str(data / "publications.jsonl"),
+                "--careers", str(data / "careers.csv"),
+                "--topic", "scale", "--threads", str(threads), "--out", str(out),
+            ]
+            start = time.perf_counter()
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            elapsed = time.perf_counter() - start
+            assert proc.returncode == 0, proc.stderr
+            assert elapsed < 120.0, f"--threads {threads} took {elapsed:.1f}s"
+            digests[threads] = tuple(
+                sha256_file(out / name)
+                for name in ("cohorts.csv", "indicators.csv", "bands.csv")
+            )
+        assert digests[1] == digests[4] == digests[16]
+    finally:
+        shutil.rmtree(data, ignore_errors=True)  # ~1 GB, whether or not the run passed
 
 
 def test_criterion_8_group_mean_tolerance(age_corpus):

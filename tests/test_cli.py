@@ -184,6 +184,47 @@ def test_validate_broken_file_exits_1(tmp_path, capsys):
     assert "invalid corpus" in capsys.readouterr().err
 
 
+def test_validate_reports_load_accounting(tmp_path, capsys):
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text(
+        '{"pub_id": "p1", "year": 2012, "authors": ["a"], "cluster_id": "k1"}\n'
+        '{"pub_id": "p2", "year": 2001, "authors": ["a"]}\n'
+        '{"pub_id": "p3", "year": 2012, "authors": ["b"], "cluster_id": "k9"}\n'
+    )
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,label,area,total_authors,x,y\nk1,x,Alchemy,5,,\n")
+    out = tmp_path / "run"
+    code = main(["validate", "--corpus", str(pubs), "--clusters", str(clusters),
+                 "--out", str(out)])
+    assert code == 0
+    text = (out / "validation.txt").read_text()
+    assert capsys.readouterr().out == text
+    assert text.startswith("publications loaded: 2\ndropped outside horizon: 1\n")
+    lines = text.splitlines()
+    for line in ("publications parsed: 3", "unknown cluster references repaired: 1",
+                 "  unknown cluster: p3: k9", "careers: 2 (derived)",
+                 "non-canonical areas: 1", "  non-canonical area: Alchemy"):
+        assert line in lines
+
+
+def test_lone_surrogate_is_data_error(tmp_path, capsys):
+    # without the author "s\ud800" this corpus classifies; with it, the
+    # author's row could not be written as UTF-8
+    rows = [("a", 2012, "t"), ("b", 2012, "t"), ("b", 2013, "t"), ("c", 2012, "t"),
+            ("c", 2012, None), ("s\\ud800", 2012, "t"), ("s\\ud800", 2013, "t"),
+            ("s\\ud800", 2014, None)]
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text("".join(
+        f'{{"pub_id": "p{i}", "year": {year}, "authors": ["{author}"], '
+        f'"topic_flags": {json.dumps([flag] if flag else [])}}}\n'
+        for i, (author, year, flag) in enumerate(rows, start=1)
+    ))
+    code = main(["classify", "--corpus", str(pubs), "--topic", "t", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert f"{pubs}, line 6: unpaired UTF-16 surrogate escape" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_classify_degenerate_is_data_error(tmp_path, capsys):
     flat = tmp_path / "flat.jsonl"
     flat.write_text(

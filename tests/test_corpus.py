@@ -3,7 +3,6 @@ import json
 import pytest
 
 from communitylens.corpus import (
-    AuthorCareer,
     CareerConflictError,
     DuplicatePubIdError,
     MalformedRecordError,
@@ -13,7 +12,6 @@ from communitylens.corpus import (
     load_careers_csv,
     load_clusters_csv,
     load_corpus,
-    validate,
     write_careers_csv,
     write_clusters_csv,
     write_publications_jsonl,
@@ -55,7 +53,7 @@ def test_empty_file_is_valid(tmp_path):
     corpus = load_corpus(str(path))
     assert corpus.publications == []
     assert corpus.careers == {}
-    assert validate(corpus).is_clean
+    assert corpus.load_report.publications_parsed == 0
 
 
 def test_blank_lines_skipped(tmp_path):
@@ -78,6 +76,7 @@ def test_blank_lines_skipped(tmp_path):
         ({"pub_id": "p", "year": 2012, "authors": ["a"], "doc_type": ""}, "doc_type"),
         ({"pub_id": "p", "year": 2012, "authors": ["a"], "cluster_id": 7}, "cluster_id"),
         ({"pub_id": "p", "year": 2012, "authors": ["a"], "keywords": "x"}, "keywords"),
+        ({"pub_id": "p", "year": 2012, "authors": ["a\ud800"]}, "unpaired UTF-16 surrogate"),
     ],
 )
 def test_malformed_records(tmp_path, row, reason):
@@ -105,8 +104,67 @@ def test_invalid_json_reports_line(tmp_path):
 
 def test_duplicate_pub_id(tmp_path):
     path = write_jsonl(tmp_path / "pubs.jsonl", [rec(), rec(year=2013)])
-    with pytest.raises(DuplicatePubIdError):
+    with pytest.raises(DuplicatePubIdError) as err:
         load_corpus(path)
+    assert str(err.value) == f"{path}, line 2: duplicate pub_id 'p1'"
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ('{"pub_id": "p", "year": ' + "9" * 5000 + ', "authors": ["a"]}', "digits"),
+        ("[" * 100_000, "recursion"),
+    ],
+    ids=["huge-int", "deep-nesting"],
+)
+def test_json_decoder_limits_are_malformed(tmp_path, line, reason):
+    path = tmp_path / "pubs.jsonl"
+    path.write_text(json.dumps(rec()) + "\n" + line + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        load_corpus(str(path))
+    assert err.value.line == 2
+    assert reason in str(err.value)
+
+
+def test_surrogate_pair_escape_loads(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    # an escaped backslash before "ud800" is no surrogate escape either
+    path.write_text('{"pub_id": "p\\ud83d\\ude00", "year": 2012, "authors": ["a\\\\ud800"]}\n')
+    corpus = load_corpus(str(path))
+    assert corpus.publications[0].pub_id == "p\U0001F600"
+    assert corpus.publications[0].author_ids == ("a\\ud800",)
+
+
+_GOOD_LINE = json.dumps(rec()).encode()
+
+
+@pytest.mark.parametrize(
+    "loader,name,data",
+    [
+        (load_corpus, "pubs.jsonl", _GOOD_LINE + b"\n\n" + _GOOD_LINE[:-2] + b"\xff}\n"),
+        (load_careers_csv, "careers.csv",
+         b"author_id,yfp,year,count\r\na1,2012,2012,1\r\n\xe9,2012,2012,1\r\n"),
+        (load_clusters_csv, "clusters.csv",
+         b"cluster_id,label,area,total_authors,x,y\nk1,x,Alchemy,5,,\nk2,\xed\xa0\x80,Alchemy,5,,\n"),
+    ],
+    ids=["publications", "careers", "clusters"],
+)
+def test_invalid_utf8_names_file_and_line(tmp_path, loader, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(MalformedRecordError) as err:
+        loader(str(path))
+    assert (err.value.source, err.value.line) == (str(path), 3)
+    assert "invalid UTF-8 byte" in str(err.value)
+
+
+def test_csv_field_over_size_limit_is_malformed(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text('cluster_id,label,area,total_authors,x,y\nk1,"' + "x" * 200_000 + '",a,5,,\n')
+    with pytest.raises(MalformedRecordError) as err:
+        load_clusters_csv(str(path))
+    assert err.value.line == 2
+    assert "field larger than field limit" in str(err.value)
 
 
 def test_boolean_year_rejected(tmp_path):
@@ -368,48 +426,21 @@ def test_delineate_terms_require_topic(tmp_path):
         load_corpus(path, delineate_terms=["big data"])
 
 
-# --- validate -------------------------------------------------------------------
+# --- load report ----------------------------------------------------------------
 
 
 def test_validate_clean(bd2012_corpus):
-    report = validate(bd2012_corpus)
-    assert report.is_clean
-    assert report.warnings == 0
-    assert any("duplicate pub_ids: 0" in line for line in report.summary_lines())
-
-
-def test_validate_finds_duplicates_and_missing_careers():
-    corpus = make_corpus([("p1", 2012, ["a1"], ["bd"])])
-    corpus.publications.append(corpus.publications[0])
-    del corpus.careers["a1"]
-    report = validate(corpus)
-    assert report.duplicate_pub_ids == ["p1"]
-    assert report.missing_careers == ["a1"]
-    assert not report.is_clean
-
-
-def test_validate_flags_out_of_horizon_and_unknown_cluster():
-    corpus = make_corpus(
-        [("p1", 2012, ["a1"], ["bd"], "k1"), ("p2", 2012, ["a1"], [], "k9")],
-        clusters={"k1": ("lbl", "Life & Earth Sciences", 5, 0.0, 0.0)},
-    )
-    corpus.publications[0] = make_rec(pub_id="p1", year=2020, cluster_id="k1")
-    corpus.careers["a"] = AuthorCareer("a", 2012, {2012: 1, 2020: 1})
-    report = validate(corpus)
-    assert report.out_of_horizon == ["p1"]
-    assert report.unknown_clusters == [("p2", "k9")]
-    assert report.hard_defects == 0
-    assert report.warnings == 2
-
-
-def test_validate_career_undercount():
-    corpus = make_corpus(
-        [("p1", 2012, ["a1"], ["bd"]), ("p2", 2012, ["a1"], ["bd"])],
-        careers={"a1": (2012, {2012: 1})},
-    )
-    report = validate(corpus)
-    assert report.career_conflicts
-    assert not report.is_clean
+    report = bd2012_corpus.load_report
+    # p0313 (2007) is the fixture's one record before the horizon
+    assert (report.publications_parsed, report.publications_loaded) == (313, 312)
+    assert report.dropped_out_of_horizon == 1
+    assert report.dropped_doc_type == report.delineated == 0
+    assert report.unknown_cluster_count == 0
+    assert report.unknown_areas == []
+    assert report.career_source == "supplied"
+    lines = report.summary_lines()
+    assert lines[:2] == ["publications loaded: 312", "dropped outside horizon: 1"]
+    assert "careers: %d (supplied)" % report.careers_total in lines
 
 
 # --- round trips -------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from communitylens.cohorts import cohort_series
-from communitylens.corpus import RESEARCH_AREAS, load_corpus, validate
+from communitylens.corpus import RESEARCH_AREAS, load_corpus
 from communitylens.indicators import author_profiles, production_bands
 from communitylens.synthgen import (
     GeneratorConfig,
@@ -55,12 +55,13 @@ def test_deterministic_by_seed(tmp_path):
 
 
 def test_output_passes_validation(tmp_path):
-    generate(small_config(), tmp_path)
-    corpus = load_generated(tmp_path)
-    report = validate(corpus)
-    assert report.is_clean
-    assert report.warnings == 0
-    assert corpus.load_report.career_source == "supplied"
+    truth = generate(small_config(), tmp_path)
+    report = load_generated(tmp_path).load_report
+    assert report.publications_parsed == report.publications_loaded == truth.n_publications
+    assert report.dropped_out_of_horizon == report.dropped_doc_type == 0
+    assert report.unknown_cluster_count == 0
+    assert report.unknown_areas == []
+    assert report.career_source == "supplied"
 
 
 def test_ground_truth_matches_pipeline_exactly(tmp_path):
