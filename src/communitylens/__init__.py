@@ -47,7 +47,7 @@ from .indicators import (
     production_bands,
     year_summaries,
 )
-from .overlay import AreaRollup, ClusterOverlayRow, area_rollup, cluster_overlay, emit_map
+from .overlay import AreaRollup, ClusterOverlayRow, area_rollup, cluster_overlay
 from .synthgen import GeneratorConfig, GroundTruth, InfeasibleConfigError, generate
 
 __all__ = [
@@ -85,7 +85,6 @@ __all__ = [
     "cohort_series",
     "compare",
     "delineate",
-    "emit_map",
     "generate",
     "load_corpus",
     "production_bands",

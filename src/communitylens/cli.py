@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate | cohorts | indicators | classify | overlay | compare |
-synth. Global flags may come from a JSON config file named by the
-COMMUNITYLENS_CONFIG environment variable; explicit flags always win.
+synth. Flags may also come from a JSON config file named by the
+COMMUNITYLENS_CONFIG environment variable; each value is checked like the flag
+it names, and explicit flags always win.
 
 Exit codes: 0 success, 1 data failure (such as a corpus that does not load,
 named by file and line on stderr), 2 usage error. Reports are staged in memory
@@ -51,13 +52,15 @@ from .synthgen import GeneratorConfig, InfeasibleConfigError, generate
 
 ENV_CONFIG = "COMMUNITYLENS_CONFIG"
 
-_CONFIG_KEYS = {
-    "corpus", "careers", "clusters", "topic", "topic_b", "corpus_b", "careers_b", "clusters_b",
-    "horizon", "window", "stay_denominator", "threads", "out", "raw", "doc_types", "terms",
-    "threshold_rule", "focus_mode", "pooled_thresholds", "color_metric", "map_format",
-    "seed", "entrants", "entrants_map", "p_newborn", "stay_prob", "alpha", "clusters_n",
-    "areas_n", "topic_share", "max_production", "career_back",
-}
+
+class _Usage(Exception):
+    """Raised for usage-level failures mapped to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A bad flag or config value is a usage error like any other."""
+        raise _Usage(message)
 
 
 def _load_env_config() -> dict:
@@ -73,14 +76,43 @@ def _load_env_config() -> dict:
         raise _Usage(f"{ENV_CONFIG} file {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(config, dict):
         raise _Usage(f"{ENV_CONFIG} file {path} must hold a JSON object")
-    unknown = sorted(set(config) - _CONFIG_KEYS)
-    if unknown:
-        raise _Usage(f"{ENV_CONFIG} file {path} has unknown keys: {', '.join(unknown)}")
     return config
 
 
-class _Usage(Exception):
-    """Raised for usage-level failures mapped to exit code 2."""
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the env config's values given as flags.
+
+    Each key that the subcommand takes becomes a --key=value token right after
+    the subcommand, so it passes that flag's own checks and an explicit flag,
+    which comes later, wins. Keys of other subcommands are accepted and unused.
+    """
+    config = _load_env_config()
+    args = parser.parse_args(argv)
+    if not config:
+        return args
+    path = os.environ[ENV_CONFIG]
+    known = set().union(*(vars(parser.parse_args([name])) for name in _HANDLERS))
+    unknown = sorted(set(config) - (known - {"subcommand"}))
+    if unknown:
+        raise _Usage(f"{ENV_CONFIG} file {path} has unknown keys: {', '.join(unknown)}")
+    defaults = vars(parser.parse_args([args.subcommand]))
+    tokens: list[str] = []
+    for key in sorted(config.keys() & defaults.keys()):
+        value, flag = config[key], "--" + key.replace("_", "-")
+        if defaults[key] is False and isinstance(value, bool):  # an on/off switch
+            given = [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            given = [f"{flag}={value}"]
+        else:
+            raise _Usage(f"{ENV_CONFIG} file {path}, key {key!r}: "
+                         f"expected a string or a number, got {json.dumps(value)}")
+        try:
+            parser.parse_args([args.subcommand, *given])
+        except _Usage as exc:
+            raise _Usage(f"{ENV_CONFIG} file {path}, key {key!r}: {exc}") from None
+        tokens += given
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def _parse_horizon(text: str) -> tuple[int, int]:
@@ -88,10 +120,26 @@ def _parse_horizon(text: str) -> tuple[int, int]:
         a, b = text.split(":")
         horizon = (int(a), int(b))
     except ValueError:
-        raise _Usage(f"--horizon expects Y0:Y1, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected Y0:Y1, got {text!r}") from None
     if horizon[0] > horizon[1]:
-        raise _Usage(f"--horizon range is empty: {text}")
+        raise argparse.ArgumentTypeError(f"range is empty: {text}")
     return horizon
+
+
+def _horizon(text: str) -> str:
+    """Type of --horizon: a valid Y0:Y1, kept as given for the manifest."""
+    _parse_horizon(text)
+    return text
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def _split_csv(text: str | None) -> list[str] | None:
@@ -103,36 +151,32 @@ def _split_csv(text: str | None) -> list[str] | None:
     return items
 
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="communitylens",
         description="Individual-level scientific-community indicators from bibliographic corpora.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--corpus", default=defaults.get("corpus"), help="publications JSONL path")
-    common.add_argument("--careers", default=defaults.get("careers"), help="careers CSV path")
-    common.add_argument("--clusters", default=defaults.get("clusters"), help="clusters CSV path")
-    common.add_argument("--topic", default=defaults.get("topic"), help="topic label")
-    common.add_argument("--horizon", default=defaults.get("horizon", "2008:2017"), metavar="Y0:Y1")
-    common.add_argument("--window", type=int, default=defaults.get("window", 2), metavar="N",
+    common.add_argument("--corpus", help="publications JSONL path")
+    common.add_argument("--careers", help="careers CSV path")
+    common.add_argument("--clusters", help="clusters CSV path")
+    common.add_argument("--topic", help="topic label")
+    common.add_argument("--horizon", type=_horizon, default="2008:2017", metavar="Y0:Y1")
+    common.add_argument("--window", type=_positive_int, default=2, metavar="N",
                         help="stay window in years (default 2)")
-    common.add_argument("--stay-denominator", choices=["new", "all"],
-                        default=defaults.get("stay_denominator", "new"))
-    common.add_argument("--threads", type=int, default=defaults.get("threads", 1), metavar="N",
+    common.add_argument("--stay-denominator", choices=["new", "all"], default="new")
+    common.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                         help="accepted for forward compatibility; changes nothing yet")
-    common.add_argument("--out", default=defaults.get("out"), metavar="DIR")
-    common.add_argument("--raw", action="store_true", default=bool(defaults.get("raw", False)),
-                        help="append full-precision columns")
-    common.add_argument("--doc-types", default=defaults.get("doc_types"), metavar="A,B",
-                        help="keep only these doc_type values")
-    common.add_argument("--terms", default=defaults.get("terms"), metavar="T1,T2",
+    common.add_argument("--out", metavar="DIR")
+    common.add_argument("--raw", action="store_true", help="append full-precision columns")
+    common.add_argument("--doc-types", metavar="A,B", help="keep only these doc_type values")
+    common.add_argument("--terms", metavar="T1,T2",
                         help="delineate --topic by matching these phrases")
     common.add_argument("--threshold-rule", choices=["promote", "strict", "inclusive"],
-                        default=defaults.get("threshold_rule", "promote"))
-    common.add_argument("--focus-mode", choices=["total", "annual"],
-                        default=defaults.get("focus_mode", "total"))
+                        default="promote")
+    common.add_argument("--focus-mode", choices=["total", "annual"], default="total")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     sub.add_parser("validate", parents=[common],
@@ -142,34 +186,29 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common], help="quadrant classification")
 
     overlay_p = sub.add_parser("overlay", parents=[common], help="cluster overlay and area rollups")
-    overlay_p.add_argument("--color-metric", choices=["p_au", "p_stay"],
-                           default=defaults.get("color_metric", "p_au"))
-    overlay_p.add_argument("--map-format", choices=["csv", "json"],
-                           default=defaults.get("map_format", "csv"))
+    overlay_p.add_argument("--color-metric", choices=["p_au", "p_stay"], default="p_au")
+    overlay_p.add_argument("--map-format", choices=["csv", "json"], default="csv")
 
     compare_p = sub.add_parser("compare", parents=[common], help="two-community comparison")
-    compare_p.add_argument("--topic-b", default=defaults.get("topic_b"), help="second topic label")
-    compare_p.add_argument("--corpus-b", default=defaults.get("corpus_b"),
-                           help="publications for side b (defaults to --corpus)")
-    compare_p.add_argument("--careers-b", default=defaults.get("careers_b"))
-    compare_p.add_argument("--clusters-b", default=defaults.get("clusters_b"))
-    compare_p.add_argument("--pooled-thresholds", action="store_true",
-                           default=bool(defaults.get("pooled_thresholds", False)))
+    compare_p.add_argument("--topic-b", help="second topic label")
+    compare_p.add_argument("--corpus-b", help="publications for side b (defaults to --corpus)")
+    compare_p.add_argument("--careers-b")
+    compare_p.add_argument("--clusters-b")
+    compare_p.add_argument("--pooled-thresholds", action="store_true")
 
     synth_p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    synth_p.add_argument("--seed", type=int, default=defaults.get("seed", 0))
-    synth_p.add_argument("--entrants", type=int, default=defaults.get("entrants", 100),
-                         help="new entrants per horizon year")
-    synth_p.add_argument("--entrants-map", default=defaults.get("entrants_map"), metavar="Y=N,...",
+    synth_p.add_argument("--seed", type=int, default=0)
+    synth_p.add_argument("--entrants", type=int, default=100, help="new entrants per horizon year")
+    synth_p.add_argument("--entrants-map", metavar="Y=N,...",
                          help="override entrants for specific years")
-    synth_p.add_argument("--p-newborn", type=float, default=defaults.get("p_newborn", 0.35))
-    synth_p.add_argument("--stay-prob", type=float, default=defaults.get("stay_prob", 0.16))
-    synth_p.add_argument("--alpha", type=float, default=defaults.get("alpha", 2.0))
-    synth_p.add_argument("--clusters-n", type=int, default=defaults.get("clusters_n", 0))
-    synth_p.add_argument("--areas-n", type=int, default=defaults.get("areas_n", 1))
-    synth_p.add_argument("--topic-share", type=float, default=defaults.get("topic_share", 0.6))
-    synth_p.add_argument("--max-production", type=int, default=defaults.get("max_production", 10_000))
-    synth_p.add_argument("--career-back", type=int, default=defaults.get("career_back", 15))
+    synth_p.add_argument("--p-newborn", type=float, default=0.35)
+    synth_p.add_argument("--stay-prob", type=float, default=0.16)
+    synth_p.add_argument("--alpha", type=float, default=2.0)
+    synth_p.add_argument("--clusters-n", type=int, default=0)
+    synth_p.add_argument("--areas-n", type=int, default=1)
+    synth_p.add_argument("--topic-share", type=float, default=0.6)
+    synth_p.add_argument("--max-production", type=int, default=10_000)
+    synth_p.add_argument("--career-back", type=int, default=15)
     return parser
 
 
@@ -181,8 +220,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _check_exists(*paths: str | None) -> None:
     for path in paths:
-        if path is not None and not Path(path).exists():
+        if path is None:
+            continue
+        if not os.path.exists(path):
             raise _Usage(f"input file not found: {path}")
+        if not os.path.isfile(path):
+            raise _Usage(f"input is not a regular file: {path}")
+        if not os.access(path, os.R_OK):
+            raise _Usage(f"input file is not readable: {path}")
 
 
 def _load(args: argparse.Namespace, *, need_topic: bool = True) -> Corpus:
@@ -320,10 +365,12 @@ def _cmd_topic(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _require(args, "topic_b")
+    if not args.corpus_b and (args.careers_b or args.clusters_b):
+        raise _Usage("--careers-b and --clusters-b need --corpus-b")
+    _check_exists(args.corpus_b, args.careers_b, args.clusters_b)
     corpus = _load(args)
     corpus_b = None
     if args.corpus_b:
-        _check_exists(args.corpus_b, args.careers_b, args.clusters_b)
         corpus_b = load_corpus(
             args.corpus_b,
             args.careers_b,
@@ -400,16 +447,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        defaults = _load_env_config()
-        parser = build_parser(defaults)
+        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
+            args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+        except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
-        if args.threads < 1:
-            raise _Usage("--threads must be at least 1")
-        if args.window < 1:
-            raise _Usage("--window must be at least 1")
         return _HANDLERS[args.subcommand](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

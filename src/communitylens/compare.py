@@ -10,13 +10,9 @@ cell by cell in exact arithmetic before rounding.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import (
-    GROUPS,
     ClassificationResult,
     DegenerateDistributionError,
     classify_authors,
@@ -25,7 +21,6 @@ from .classify import (
     PROMOTE,
 )
 from .cohorts import (
-    ALL_AUTHORS,
     NEW_AUTHORS,
     TopicIndex,
     UnknownTopicError,
@@ -46,14 +41,21 @@ from .indicators import (
     year_summaries,
 )
 from .reports import (
+    BAND_DIFFERENCE_COLUMNS,
+    BOTH_STAY_COLUMNS,
+    COHORT_COLUMNS,
+    INDICATOR_COLUMNS,
+    QUADRANT_SUMMARY_COLUMNS,
     emit_bands_csv,
     emit_cohorts_csv,
+    emit_difference_csv,
+    emit_fields_csv,
     emit_indicators_csv,
     emit_quadrant_authors_csv,
     emit_quadrant_summary_csv,
     emit_thresholds_json,
+    quadrant_rows,
 )
-from .rounding import format_fixed
 
 
 @dataclass
@@ -147,124 +149,31 @@ def compare(
 # --- difference tables -------------------------------------------------------
 
 
-def _dnum(a, b) -> str:
-    """Difference cell: exact a - b, rounded at emission; blank when absent."""
-    if a is None or b is None:
-        return ""
-    if isinstance(a, int) and isinstance(b, int):
-        return str(a - b)
-    return format_fixed(Fraction(a) - Fraction(b), 1)
-
-
-def _dfloat(a: float | None, b: float | None) -> str:
-    if a is None or b is None:
-        return ""
-    return f"{a - b:.2f}"
-
-
-def _writer() -> tuple[io.StringIO, csv.writer]:
-    buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
-
-
 def diff_cohorts_csv(rows_a: list[YearCohorts], rows_b: list[YearCohorts]) -> str:
-    if len(rows_a) != len(rows_b):
-        raise ValueError("cohort series lengths differ; sides must share a horizon")
-    buf, writer = _writer()
-    writer.writerow(
-        ["N_AU", "N_old", "N_new", "N_newborn", "N_stay",
-         "P_old", "P_new", "P_newborn", "P_stay", "P_stay_new", "P_stay_all"]
-    )
-    for a, b in zip(rows_a, rows_b):
-        writer.writerow(
-            [
-                a.n_all - b.n_all,
-                a.n_old - b.n_old,
-                a.n_new - b.n_new,
-                a.n_newborn - b.n_newborn,
-                _dnum(a.n_stay, b.n_stay),
-                _dnum(a.percent_old, b.percent_old),
-                _dnum(a.percent_new, b.percent_new),
-                _dnum(a.percent_newborn, b.percent_newborn),
-                _dnum(a.percent_stay(), b.percent_stay()),
-                _dnum(a.percent_stay(NEW_AUTHORS), b.percent_stay(NEW_AUTHORS)),
-                _dnum(a.percent_stay(ALL_AUTHORS), b.percent_stay(ALL_AUTHORS)),
-            ]
-        )
-    return buf.getvalue()
+    return emit_difference_csv(rows_a, rows_b, COHORT_COLUMNS + BOTH_STAY_COLUMNS, keys=0)
 
 
 def diff_indicators_csv(
     sums_a: list[YearIndicatorSummary], sums_b: list[YearIndicatorSummary]
 ) -> str:
-    if len(sums_a) != len(sums_b):
-        raise ValueError("indicator series lengths differ; sides must share a horizon")
-    buf, writer = _writer()
-    writer.writerow(
-        ["year", "n_authors", "n_new", "n_old", "mean_yfp", "mean_yfp_new", "mean_yfp_old",
-         "mean_yfp_topic", "mean_production", "mean_focus", "focus_ci95"]
-    )
-    for a, b in zip(sums_a, sums_b):
-        writer.writerow(
-            [
-                a.year,
-                a.n_active - b.n_active,
-                a.n_new - b.n_new,
-                a.n_old - b.n_old,
-                _dnum(a.mean_first_year_all, b.mean_first_year_all),
-                _dnum(a.mean_first_year_new, b.mean_first_year_new),
-                _dnum(a.mean_first_year_old, b.mean_first_year_old),
-                _dnum(a.mean_entry_year, b.mean_entry_year),
-                _dnum(a.mean_production, b.mean_production),
-                _dnum(a.mean_focus, b.mean_focus),
-                _dfloat(a.focus_ci95, b.focus_ci95),
-            ]
-        )
-    return buf.getvalue()
+    return emit_difference_csv(sums_a, sums_b, INDICATOR_COLUMNS, keys=1)
 
 
 def diff_bands_csv(bands_a: list[ProductionBand], bands_b: list[ProductionBand]) -> str:
-    buf, writer = _writer()
-    writer.writerow(["band", "n_authors", "share", "mean_focus"])
-    for a, b in zip(bands_a, bands_b):
-        writer.writerow(
-            [a.label, a.n_authors - b.n_authors, _dnum(a.share, b.share), _dnum(a.mean_focus, b.mean_focus)]
-        )
-    return buf.getvalue()
+    return emit_difference_csv(bands_a, bands_b, BAND_DIFFERENCE_COLUMNS, keys=1)
 
 
 def diff_quadrants_csv(
     res_a: ClassificationResult | None, res_b: ClassificationResult | None
 ) -> str:
-    buf, writer = _writer()
-    writer.writerow(["scope", "area", "group", "n_authors", "share"])
+    """Community rows, then the union of both sides' areas in name order;
+    header only when either side has no classification."""
     if res_a is None or res_b is None:
-        return buf.getvalue()
-    for group in GROUPS:
-        writer.writerow(
-            [
-                "community",
-                "",
-                group,
-                res_a.community.counts[group] - res_b.community.counts[group],
-                _dnum(res_a.community.share(group), res_b.community.share(group)),
-            ]
-        )
-    areas_a = res_a.by_area or {}
-    areas_b = res_b.by_area or {}
-    for area in sorted(set(areas_a) | set(areas_b)):
-        sa, sb = areas_a.get(area), areas_b.get(area)
-        for group in GROUPS:
-            writer.writerow(
-                [
-                    "area",
-                    area,
-                    group,
-                    "" if sa is None or sb is None else sa.counts[group] - sb.counts[group],
-                    "" if sa is None or sb is None else _dnum(sa.share(group), sb.share(group)),
-                ]
-            )
-    return buf.getvalue()
+        return emit_difference_csv([], [], QUADRANT_SUMMARY_COLUMNS, keys=3)
+    areas = sorted(set(res_a.by_area or ()) | set(res_b.by_area or ()))
+    return emit_difference_csv(
+        quadrant_rows(res_a, areas), quadrant_rows(res_b, areas), QUADRANT_SUMMARY_COLUMNS, keys=3
+    )
 
 
 def comparison_files(report: ComparisonReport, *, raw: bool = False) -> dict[str, str]:
@@ -291,16 +200,15 @@ def comparison_files(report: ComparisonReport, *, raw: bool = False) -> dict[str
         report.side_a.classification, report.side_b.classification
     )
 
-    buf, writer = _writer()
-    writer.writerow(["field", "value"])
-    writer.writerow(["topic_a", report.side_a.topic])
-    writer.writerow(["topic_b", report.side_b.topic])
-    writer.writerow(["n_authors_a", report.side_a.n_authors])
-    writer.writerow(["n_authors_b", report.side_b.n_authors])
-    writer.writerow(["overlap", report.overlap])
-    if report.side_a.classification_note:
-        writer.writerow(["classification_note_a", report.side_a.classification_note])
-    if report.side_b.classification_note:
-        writer.writerow(["classification_note_b", report.side_b.classification_note])
-    files["summary.csv"] = buf.getvalue()
+    fields = [
+        ("topic_a", report.side_a.topic),
+        ("topic_b", report.side_b.topic),
+        ("n_authors_a", report.side_a.n_authors),
+        ("n_authors_b", report.side_b.n_authors),
+        ("overlap", report.overlap),
+    ]
+    for prefix, side in (("a", report.side_a), ("b", report.side_b)):
+        if side.classification_note:
+            fields.append((f"classification_note_{prefix}", side.classification_note))
+    files["summary.csv"] = emit_fields_csv(fields)
     return files

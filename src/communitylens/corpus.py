@@ -294,20 +294,18 @@ def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
             )
         career = careers.get(author_id)
         if career is None:
-            careers[author_id] = AuthorCareer(author_id, yfp, {year: count} if count else {})
-        else:
-            if career.first_year != yfp:
-                conflicts.append((author_id, f"inconsistent yfp {career.first_year} vs {yfp}"))
-            if count:
-                career.pubs_by_year[year] = career.pubs_by_year.get(year, 0) + count
-    for author_id in careers:
-        career = careers[author_id]
+            career = careers[author_id] = AuthorCareer(author_id, yfp, {})
+        elif career.first_year != yfp:
+            reason = f"inconsistent yfp {career.first_year} vs {yfp}"
+            conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
+        if count:
+            if year < career.first_year:
+                reason = f"count in {year} precedes yfp {career.first_year}"
+                conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
+            career.pubs_by_year[year] = career.pubs_by_year.get(year, 0) + count
+    for author_id, career in careers.items():
         if not career.pubs_by_year:
             conflicts.append((author_id, "no positive publication counts"))
-        elif min(career.pubs_by_year) < career.first_year:
-            conflicts.append(
-                (author_id, f"count in {min(career.pubs_by_year)} precedes yfp {career.first_year}")
-            )
     if conflicts:
         conflicts.sort()
         raise CareerConflictError(conflicts)

@@ -17,13 +17,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .cohorts import TopicIndex, YearCohorts
 from .corpus import Corpus
 from .indicators import AuthorProfile
 from .rounding import MeanAccumulator, percent
-from .reports import atomic_write_text, emit_map_csv, emit_map_json
 
 log = logging.getLogger(__name__)
 
@@ -206,23 +204,3 @@ def area_rollup(
         )
     return rollups
 
-
-def emit_map(
-    overlay_rows: list[ClusterOverlayRow],
-    path: str | Path,
-    color_metric: str = "p_au",
-) -> None:
-    """Write map-overlay data; format follows the extension (.json or CSV).
-
-    Columns, in order: cluster_id, label, area, x, y, size (n_topic_authors),
-    color (the chosen metric, 1-decimal). Rows without coordinates keep empty
-    x/y cells.
-    """
-    if color_metric not in ("p_au", "p_stay"):
-        raise ValueError(f"color metric must be p_au or p_stay, got {color_metric!r}")
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        text = emit_map_json(overlay_rows, color_metric)
-    else:
-        text = emit_map_csv(overlay_rows, color_metric)
-    atomic_write_text(path, text)

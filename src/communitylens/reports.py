@@ -1,11 +1,14 @@
 """Deterministic report emission.
 
-Every emitter returns the complete file content as a string so callers can
-stage a whole run and write it atomically (temp file + rename, manifest
-last). Percentages and mean years are exact rationals rounded half-up to one
-decimal at this boundary; `raw` appends full-precision float columns. Files
-use LF line endings and UTF-8 unconditionally, and never embed timestamps,
-so reruns are byte-identical.
+Every CSV report is described once, as a tuple of (column name, getter)
+pairs plus the names of the columns that `raw` repeats at full precision as
+NAME_raw. One table writer renders every CSV file from those tuples,
+compare's difference tables included. Emitters return the complete file
+content as a string so callers can stage a whole run and write it atomically
+(temp file + rename, manifest last). Percentages and mean years are exact
+rationals rounded half-up to one decimal at this boundary. Files use LF line
+endings and UTF-8 unconditionally, and never embed timestamps, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import io
 import json
 import os
 from fractions import Fraction
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .classify import GROUPS, ClassificationResult
@@ -25,44 +29,115 @@ from .cohorts import ALL_AUTHORS, NEW_AUTHORS, YearCohorts
 from .indicators import ProductionBand, YearIndicatorSummary
 from .rounding import format_fixed, round_half_up
 
-COHORT_COLUMNS = ["N_AU", "N_old", "N_new", "N_newborn", "N_stay", "P_old", "P_new", "P_newborn", "P_stay"]
-OVERLAY_COLUMNS = [
-    "cluster_id", "label", "area", "x", "y", "n_topic_authors",
-    "p_au", "p_stay", "mean_yfp", "mean_yfp_topic", "mean_production", "mean_focus",
-]
-INDICATOR_COLUMNS = [
-    "year", "n_authors", "n_new", "n_old", "mean_yfp", "mean_yfp_new", "mean_yfp_old",
-    "mean_yfp_topic", "mean_production", "mean_focus", "focus_ci95",
-]
-MAP_COLUMNS = ["cluster_id", "label", "area", "x", "y", "size", "color"]
+Columns = tuple[tuple[str, Callable[[object], object]], ...]
 
 
-def cell(value, digits: int = 1) -> str:
-    """Rounded report cell; None (absent / undetermined) is an empty cell."""
+def cell(value) -> str:
+    """Report cell: rationals rounded half-up to one decimal, floats (computed
+    statistics such as focus_ci95) to two; None (absent / undetermined) is an
+    empty cell."""
+    kind = type(value)
+    if kind is Fraction:
+        return format_fixed(value, 1)
+    if kind is int or kind is str:
+        return str(value)
     if value is None:
         return ""
-    if isinstance(value, bool):
-        raise TypeError("boolean has no report representation")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return format_fixed(value, digits)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if kind is float:
+        return f"{value:.2f}"
+    raise TypeError(f"{kind.__name__} has no report representation")
 
 
 def raw_cell(value) -> str:
+    """Full-precision cell: a rational as the nearest float."""
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return repr(float(value))
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value) if type(value) is Fraction else value)
 
 
-def _csv_buffer() -> tuple[io.StringIO, csv.writer]:
+def _columns(*specs: str | tuple[str, str | Callable]) -> Columns:
+    """Column tuple; a bare name reads the attribute of that name, a string
+    getter reads the attribute it names."""
+    pairs = [(spec, spec) if isinstance(spec, str) else spec for spec in specs]
+    return tuple((name, attrgetter(get) if isinstance(get, str) else get) for name, get in pairs)
+
+
+def _coordinate(name: str) -> Callable:
+    """Cluster coordinate as given in clusters.csv; cell() would round it."""
+    get = attrgetter(name)
+
+    def text(row) -> str | None:
+        value = get(row)
+        return None if value is None else repr(value)
+
+    return text
+
+
+COHORT_COLUMNS = _columns(
+    ("N_AU", "n_all"), ("N_old", "n_old"), ("N_new", "n_new"), ("N_newborn", "n_newborn"),
+    ("N_stay", "n_stay"), ("P_old", "percent_old"), ("P_new", "percent_new"),
+    ("P_newborn", "percent_newborn"), ("P_stay", methodcaller("percent_stay")),
+)
+# comparison runs show the series of both stay denominators side by side
+BOTH_STAY_COLUMNS = _columns(
+    ("P_stay_new", methodcaller("percent_stay", NEW_AUTHORS)),
+    ("P_stay_all", methodcaller("percent_stay", ALL_AUTHORS)),
+)
+COHORT_RAW = ("P_old", "P_new", "P_newborn", "P_stay")
+
+INDICATOR_COLUMNS = _columns(
+    "year", ("n_authors", "n_active"), "n_new", "n_old",
+    ("mean_yfp", "mean_first_year_all"), ("mean_yfp_new", "mean_first_year_new"),
+    ("mean_yfp_old", "mean_first_year_old"), ("mean_yfp_topic", "mean_entry_year"),
+    "mean_production", "mean_focus", "focus_ci95",
+)
+INDICATOR_RAW = ("mean_yfp", "mean_yfp_topic", "mean_production", "mean_focus")
+
+BAND_COLUMNS = _columns(("band", "label"), "low", "high", "n_authors", "share", "mean_focus")
+BAND_RAW = ("share", "mean_focus")
+# difference tables leave out the band limits
+BAND_DIFFERENCE_COLUMNS = BAND_COLUMNS[:1] + BAND_COLUMNS[3:]
+
+QUADRANT_AUTHOR_COLUMNS = _columns("author_id", "production_total", "focus_overall", "group")
+QUADRANT_AUTHOR_RAW = ("focus_overall",)
+
+# quadrant summary rows are (scope, area, group, n_authors, share) tuples
+QUADRANT_SUMMARY_COLUMNS = tuple(
+    (name, itemgetter(i)) for i, name in enumerate(("scope", "area", "group", "n_authors", "share"))
+)
+QUADRANT_SUMMARY_RAW = ("share",)
+
+_CLUSTER_COLUMNS = _columns(
+    "cluster_id", "label", "area", ("x", _coordinate("x")), ("y", _coordinate("y"))
+)
+OVERLAY_COLUMNS = _CLUSTER_COLUMNS + _columns(
+    "n_topic_authors", "p_au", "p_stay", ("mean_yfp", "mean_first_year"),
+    ("mean_yfp_topic", "mean_entry_year"), "mean_production", "mean_focus",
+)
+OVERLAY_RAW = ("p_au", "p_stay", "mean_yfp", "mean_yfp_topic", "mean_production", "mean_focus")
+
+AREA_COLUMNS = _columns(
+    "area", "n_clusters", "n_authors", "n_authors_full", "avg_p_au", "avg_p_stay",
+    "pooled_p_stay", ("mean_yfp", "mean_first_year"), ("mean_yfp_topic", "mean_entry_year"),
+    "mean_lag", "top_cluster_id", "top_cluster_label", "top_cluster_p_au",
+)
+AREA_RAW = ("avg_p_au", "avg_p_stay", "pooled_p_stay", "mean_lag")
+
+FIELD_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
+
+
+def _table(rows: Iterable, columns: Columns, raw: Sequence[str] = ()) -> str:
+    """CSV text: the column names, then one line of cells per row.
+
+    Each name in `raw` repeats that column at full precision as NAME_raw.
+    """
+    getters = dict(columns)
+    cells = [(cell, get) for _, get in columns] + [(raw_cell, getters[name]) for name in raw]
     buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([name for name, _ in columns] + [f"{name}_raw" for name in raw])
+    writer.writerows([fmt(get(row)) for fmt, get in cells] for row in rows)
+    return buf.getvalue()
 
 
 def emit_cohorts_csv(
@@ -76,113 +151,39 @@ def emit_cohorts_csv(
     The pinned columns carry the configured stay denominator; the comparison
     variant appends both denominator series side by side.
     """
-    header = list(COHORT_COLUMNS)
-    if both_stay_denominators:
-        header += ["P_stay_new", "P_stay_all"]
-    if raw:
-        header += ["P_old_raw", "P_new_raw", "P_newborn_raw", "P_stay_raw"]
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    for row in rows:
-        record = [
-            row.n_all,
-            row.n_old,
-            row.n_new,
-            row.n_newborn,
-            cell(row.n_stay),
-            cell(row.percent_old),
-            cell(row.percent_new),
-            cell(row.percent_newborn),
-            cell(row.percent_stay()),
-        ]
-        if both_stay_denominators:
-            record += [cell(row.percent_stay(NEW_AUTHORS)), cell(row.percent_stay(ALL_AUTHORS))]
-        if raw:
-            record += [
-                raw_cell(row.percent_old),
-                raw_cell(row.percent_new),
-                raw_cell(row.percent_newborn),
-                raw_cell(row.percent_stay()),
-            ]
-        writer.writerow(record)
-    return buf.getvalue()
+    columns = COHORT_COLUMNS + (BOTH_STAY_COLUMNS if both_stay_denominators else ())
+    return _table(rows, columns, COHORT_RAW if raw else ())
 
 
 def emit_indicators_csv(summaries: Sequence[YearIndicatorSummary], *, raw: bool = False) -> str:
-    header = list(INDICATOR_COLUMNS)
-    if raw:
-        header += ["mean_yfp_raw", "mean_yfp_topic_raw", "mean_production_raw", "mean_focus_raw"]
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    for s in summaries:
-        record = [
-            s.year,
-            s.n_active,
-            s.n_new,
-            s.n_old,
-            cell(s.mean_first_year_all),
-            cell(s.mean_first_year_new),
-            cell(s.mean_first_year_old),
-            cell(s.mean_entry_year),
-            cell(s.mean_production),
-            cell(s.mean_focus),
-            "" if s.focus_ci95 is None else f"{s.focus_ci95:.2f}",
-        ]
-        if raw:
-            record += [
-                raw_cell(s.mean_first_year_all),
-                raw_cell(s.mean_entry_year),
-                raw_cell(s.mean_production),
-                raw_cell(s.mean_focus),
-            ]
-        writer.writerow(record)
-    return buf.getvalue()
+    return _table(summaries, INDICATOR_COLUMNS, INDICATOR_RAW if raw else ())
 
 
 def emit_bands_csv(bands: Sequence[ProductionBand], *, raw: bool = False) -> str:
-    header = ["band", "low", "high", "n_authors", "share", "mean_focus"]
-    if raw:
-        header += ["share_raw", "mean_focus_raw"]
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    for b in bands:
-        record = [b.label, b.low, cell(b.high), b.n_authors, cell(b.share), cell(b.mean_focus)]
-        if raw:
-            record += [raw_cell(b.share), raw_cell(b.mean_focus)]
-        writer.writerow(record)
-    return buf.getvalue()
+    return _table(bands, BAND_COLUMNS, BAND_RAW if raw else ())
 
 
 def emit_quadrant_authors_csv(result: ClassificationResult, *, raw: bool = False) -> str:
-    header = ["author_id", "production_total", "focus_overall", "group"]
-    if raw:
-        header.append("focus_overall_raw")
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    for a in result.assignments:
-        record = [a.author_id, a.production_total, cell(a.focus_overall), a.group]
-        if raw:
-            record.append(raw_cell(a.focus_overall))
-        writer.writerow(record)
-    return buf.getvalue()
+    return _table(result.assignments, QUADRANT_AUTHOR_COLUMNS, QUADRANT_AUTHOR_RAW if raw else ())
+
+
+def quadrant_rows(result: ClassificationResult, areas: Iterable[str]) -> list[tuple]:
+    """Community rows, then area rows in the given order; an area the result
+    does not have gets blank counts and shares."""
+    by_area = result.by_area or {}
+    scopes = [("community", "", result.community)]
+    scopes += [("area", area, by_area.get(area)) for area in areas]
+    return [
+        (scope, area, group, None, None) if shares is None
+        else (scope, area, group, shares.counts[group], shares.share(group))
+        for scope, area, shares in scopes
+        for group in GROUPS
+    ]
 
 
 def emit_quadrant_summary_csv(result: ClassificationResult, *, raw: bool = False) -> str:
-    header = ["scope", "area", "group", "n_authors", "share"]
-    if raw:
-        header.append("share_raw")
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    scopes = [("community", "", result.community)]
-    if result.by_area:
-        scopes += [("area", area, shares) for area, shares in result.by_area.items()]
-    for scope, area, shares in scopes:
-        for group in GROUPS:
-            record = [scope, area, group, shares.counts[group], cell(shares.share(group))]
-            if raw:
-                record.append(raw_cell(shares.share(group)))
-            writer.writerow(record)
-    return buf.getvalue()
+    rows = quadrant_rows(result, result.by_area or ())
+    return _table(rows, QUADRANT_SUMMARY_COLUMNS, QUADRANT_SUMMARY_RAW if raw else ())
 
 
 def emit_thresholds_json(result: ClassificationResult) -> str:
@@ -208,93 +209,31 @@ def emit_thresholds_json(result: ClassificationResult) -> str:
 
 def emit_overlay_csv(rows: Iterable, *, raw: bool = False) -> str:
     """Cluster overlay CSV in the pinned column order."""
-    header = list(OVERLAY_COLUMNS)
-    if raw:
-        header += ["p_au_raw", "p_stay_raw", "mean_yfp_raw", "mean_yfp_topic_raw",
-                   "mean_production_raw", "mean_focus_raw"]
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    for r in rows:
-        record = [
-            r.cluster_id,
-            r.label,
-            r.area,
-            cell(r.x),
-            cell(r.y),
-            r.n_topic_authors,
-            cell(r.p_au),
-            cell(r.p_stay),
-            cell(r.mean_first_year),
-            cell(r.mean_entry_year),
-            cell(r.mean_production),
-            cell(r.mean_focus),
-        ]
-        if raw:
-            record += [
-                raw_cell(r.p_au),
-                raw_cell(r.p_stay),
-                raw_cell(r.mean_first_year),
-                raw_cell(r.mean_entry_year),
-                raw_cell(r.mean_production),
-                raw_cell(r.mean_focus),
-            ]
-        writer.writerow(record)
-    return buf.getvalue()
+    return _table(rows, OVERLAY_COLUMNS, OVERLAY_RAW if raw else ())
 
 
 def emit_areas_csv(rollups: Iterable, *, raw: bool = False) -> str:
-    header = [
-        "area", "n_clusters", "n_authors", "n_authors_full",
-        "avg_p_au", "avg_p_stay", "pooled_p_stay",
-        "mean_yfp", "mean_yfp_topic", "mean_lag",
-        "top_cluster_id", "top_cluster_label", "top_cluster_p_au",
-    ]
-    if raw:
-        header += ["avg_p_au_raw", "avg_p_stay_raw", "pooled_p_stay_raw", "mean_lag_raw"]
-    buf, writer = _csv_buffer()
-    writer.writerow(header)
-    for r in rollups:
-        record = [
-            r.area,
-            r.n_clusters,
-            r.n_authors,
-            r.n_authors_full,
-            cell(r.avg_p_au),
-            cell(r.avg_p_stay),
-            cell(r.pooled_p_stay),
-            cell(r.mean_first_year),
-            cell(r.mean_entry_year),
-            cell(r.mean_lag),
-            "" if r.top_cluster_id is None else r.top_cluster_id,
-            "" if r.top_cluster_label is None else r.top_cluster_label,
-            cell(r.top_cluster_p_au),
-        ]
-        if raw:
-            record += [
-                raw_cell(r.avg_p_au),
-                raw_cell(r.avg_p_stay),
-                raw_cell(r.pooled_p_stay),
-                raw_cell(r.mean_lag),
-            ]
-        writer.writerow(record)
-    return buf.getvalue()
+    return _table(rollups, AREA_COLUMNS, AREA_RAW if raw else ())
+
+
+def _color(metric: str) -> Callable:
+    if metric not in ("p_au", "p_stay"):
+        raise ValueError(f"color metric must be p_au or p_stay, got {metric!r}")
+    return attrgetter(metric)
 
 
 def emit_map_csv(rows: Iterable, color_metric: str = "p_au") -> str:
-    buf, writer = _csv_buffer()
-    writer.writerow(MAP_COLUMNS)
-    for r in rows:
-        color = r.p_au if color_metric == "p_au" else r.p_stay
-        writer.writerow(
-            [r.cluster_id, r.label, r.area, cell(r.x), cell(r.y), r.n_topic_authors, cell(color)]
-        )
-    return buf.getvalue()
+    """Map overlay: the cluster columns, size (n_topic_authors) and color
+    (the chosen metric); rows without coordinates keep empty x/y cells."""
+    color = _color(color_metric)
+    return _table(rows, _CLUSTER_COLUMNS + _columns(("size", "n_topic_authors"), ("color", color)))
 
 
 def emit_map_json(rows: Iterable, color_metric: str = "p_au") -> str:
+    get_color = _color(color_metric)
     out = []
     for r in rows:
-        color = r.p_au if color_metric == "p_au" else r.p_stay
+        color = get_color(r)
         out.append(
             {
                 "cluster_id": r.cluster_id,
@@ -307,6 +246,39 @@ def emit_map_json(rows: Iterable, color_metric: str = "p_au") -> str:
             }
         )
     return json.dumps(out, indent=2) + "\n"
+
+
+def _side_a(get: Callable) -> Callable:
+    return lambda pair: get(pair[0])
+
+
+def _minus(get: Callable) -> Callable:
+    def difference(pair):
+        a, b = get(pair[0]), get(pair[1])
+        return None if a is None or b is None else a - b
+
+    return difference
+
+
+def emit_difference_csv(rows_a: Sequence, rows_b: Sequence, columns: Columns, keys: int) -> str:
+    """Side a minus side b, row by row and cell by cell, in exact arithmetic.
+
+    The first `keys` columns name the row and are copied from side a. A cell
+    that is absent (None) on either side is blank.
+    """
+    if len(rows_a) != len(rows_b):
+        raise ValueError(
+            f"sides have {len(rows_a)} and {len(rows_b)} rows; they must share a horizon"
+        )
+    differences = tuple(
+        (name, _side_a(get) if i < keys else _minus(get)) for i, (name, get) in enumerate(columns)
+    )
+    return _table(zip(rows_a, rows_b), differences)
+
+
+def emit_fields_csv(fields: Iterable[tuple[str, object]]) -> str:
+    """Two-column field,value CSV."""
+    return _table(fields, FIELD_COLUMNS)
 
 
 # --- atomic run emission ------------------------------------------------------

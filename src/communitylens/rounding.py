@@ -27,11 +27,14 @@ def round_half_up(value: Rational, digits: int = 1) -> Fraction:
 
 
 def format_fixed(value: Rational, digits: int = 1) -> str:
-    """Format an exact rational with exactly `digits` decimals."""
-    rounded = round_half_up(value, digits)
-    scaled = rounded * 10**digits
-    units = abs(scaled.numerator)  # denominator is 1 after rounding
-    sign = "-" if scaled < 0 else ""
+    """Format an exact rational with exactly `digits` decimals, rounded as
+    round_half_up does; integer arithmetic only, since every report cell
+    passes through here."""
+    scaled = value.numerator * 10**digits
+    units, rem = divmod(abs(scaled), value.denominator)
+    if 2 * rem >= value.denominator:
+        units += 1  # ties away from zero
+    sign = "-" if scaled < 0 and units else ""
     if digits == 0:
         return f"{sign}{units}"
     text = str(units).rjust(digits + 1, "0")

@@ -61,6 +61,33 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--corpus", "--careers", "--clusters",
+                                  "--corpus-b", "--careers-b", "--clusters-b"])
+def test_directory_input_is_usage_error(bd2012_paths, tmp_path, capsys, flag):
+    pubs, careers = bd2012_paths
+    inputs = {"--corpus": str(pubs), "--careers": str(careers), "--corpus-b": str(pubs)}
+    inputs[flag] = str(tmp_path)
+    argv = ["compare", "--topic", "big data", "--topic-b", "big data",
+            "--out", str(tmp_path / "run")]
+    for name, path in inputs.items():
+        argv += [name, path]
+    assert main(argv) == 2
+    assert f"input is not a regular file: {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_side_b_inputs_need_corpus_b(bd2012_paths, tmp_path, capsys):
+    pubs, careers = bd2012_paths
+    out = tmp_path / "run"
+    argv = ["compare", *bd_args(bd2012_paths, "--topic-b", "big data", "--out", str(out))]
+    assert main([*argv, "--careers-b", str(careers)]) == 2
+    assert "--careers-b and --clusters-b need --corpus-b" in capsys.readouterr().err
+    missing = str(tmp_path / "nope.csv")
+    assert main([*argv, "--corpus-b", str(pubs), "--careers-b", missing]) == 2
+    assert "not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_topic_classify_is_data_error(bd2012_paths, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["classify", *bd_args(bd2012_paths, "--out", str(out))[:-2],
@@ -148,6 +175,44 @@ def test_env_config_failures(tmp_path, monkeypatch, capsys, payload, message):
     monkeypatch.setenv("COMMUNITYLENS_CONFIG", str(config))
     assert main(["cohorts", "--topic", "x"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"horizon": 2008}, "key 'horizon': argument --horizon: expected Y0:Y1, got '2008'"),
+        ({"raw": "false"}, "key 'raw': argument --raw: ignored explicit argument 'false'"),
+        ({"map_format": "xml", "color_metric": "size"},
+         "key 'color_metric': argument --color-metric: invalid choice: 'size'"),
+        ({"map_format": "xml"}, "key 'map_format': argument --map-format: invalid choice: 'xml'"),
+    ],
+)
+def test_env_config_values_checked_like_flags(bd2012_paths, tmp_path, monkeypatch, capsys,
+                                              payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    monkeypatch.setenv("COMMUNITYLENS_CONFIG", str(config))
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,label,area,total_authors,x,y\n")
+    out = tmp_path / "run"
+    assert main(["overlay", *bd_args(bd2012_paths, "--clusters", str(clusters),
+                                     "--out", str(out))]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_env_config_switches_and_other_subcommands(bd2012_paths, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    # raw is a switch; seed and color_metric belong to other subcommands
+    config.write_text(json.dumps({"raw": True, "seed": 3, "color_metric": "p_stay",
+                                  "window": 3}))
+    monkeypatch.setenv("COMMUNITYLENS_CONFIG", str(config))
+    out = tmp_path / "run"
+    assert main(["cohorts", *bd_args(bd2012_paths, "--window", "2", "--out", str(out))]) == 0
+    assert (out / "cohorts.csv").read_text().splitlines()[0].endswith(",P_stay_raw")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["raw"] is True
+    assert manifest["config"]["window"] == 2  # the explicit flag wins
 
 
 def test_threads_do_not_change_output(bd2012_paths, tmp_path):

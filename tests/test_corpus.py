@@ -247,9 +247,14 @@ def test_careers_bad_header(tmp_path):
 
 
 def test_careers_yfp_mismatch(tmp_path):
-    path = careers_csv(tmp_path, [("a1", 2005, 2004, 1)])
-    with pytest.raises(CareerConflictError):
+    path = careers_csv(tmp_path, [("a1", 2005, 2004, 1), ("a2", 2005, 2005, 1), ("a2", 2006, 2006, 1)])
+    with pytest.raises(CareerConflictError) as err:
         load_careers_csv(path)
+    # both conflicts are found at one row, so each names its line
+    assert err.value.conflicts == [
+        ("a1", f"count in 2004 precedes yfp 2005 ({path}, line 2)"),
+        ("a2", f"inconsistent yfp 2005 vs 2006 ({path}, line 4)"),
+    ]
 
 
 @pytest.mark.parametrize("row", [("a1", -5, -5, 1), ("a1", 2005, 10000, 1), ("a1", 0, 2005, 1)])
@@ -290,7 +295,8 @@ def test_supplied_career_before_yfp(tmp_path):
     careers = careers_csv(tmp_path, [("a1", 2012, 2012, 1)])
     with pytest.raises(CareerConflictError) as err:
         load_corpus(pubs, careers_path=careers)
-    assert "precedes yfp" in str(err.value)
+    # the conflict spans two files, so it names the author but no line
+    assert err.value.conflicts == [("a1", "record in 2010 precedes yfp 2012")]
 
 
 def test_supplied_career_superset_ok(tmp_path):

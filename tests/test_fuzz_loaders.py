@@ -172,7 +172,7 @@ def test_load_corpus_loads_or_names_line(tmp_path_factory, data):
 @settings(max_examples=60, deadline=None)
 @given(data=careers_file)
 def test_load_careers_loads_or_names_line(tmp_path_factory, data):
-    # conflicts between an author's rows name the author, not one line
+    # conflicts are reported together; those spanning an author's rows name no line
     assert_loads_or_located(
         load_careers_csv, scratch(tmp_path_factory, "careers.csv"), data, CareerConflictError
     )

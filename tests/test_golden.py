@@ -74,6 +74,11 @@ CASES = {
     "synth-compare": ("synth", ["compare", "--topic-b", "beta"]),
     "synth-compare-pooled": ("synth", ["compare", "--topic-b", "beta", "--pooled-thresholds",
                                        "--raw"]),
+    # side b is a second corpus whose classification is degenerate
+    "synth-compare-bd2012": ("synth", ["compare", "--topic-b", "big data",
+                                       "--corpus-b", str(FIXTURES / "bd2012" / "publications.jsonl"),
+                                       "--careers-b", str(FIXTURES / "bd2012" / "careers.csv"),
+                                       "--stay-denominator", "all", "--window", "3", "--raw"]),
 }
 
 
@@ -179,6 +184,25 @@ GOLDEN: dict[str, dict[str, str]] = {
         "diff_indicators.csv": "32a6bb5e97b8a5a744a37fe3b4ffcc23dee2e30b702548550638ae0489a39654",
         "diff_quadrant_summary.csv": "c206c1f901324423c100215579007e44c062b65c1f27a97163dca44829b4f2ea",
         "summary.csv": "22b42006f33a2fa5052d74ebdd89169fbaae09fc2fb8fa6004f4776f8d10e745",
+    },
+    # Recorded from the release before the single-column-list report refactor.
+    "synth-compare-bd2012": {
+        "a_bands.csv": "e7e90ca634e953329425b2797f6ab47bc98ffa9740ad08339d290af6e3962ecc",
+        "a_cohorts.csv": "ce010ea3426d35459d9bee8df323d3a77687e7c79c51f0f262702011f4b6e99c",
+        "a_indicators.csv": "6868547771409614dc37be590fbb77d192b7d4b30a066c27711a65076ee63b25",
+        "a_quadrant_authors.csv": "003792a5a8ef6224df9061efb51029ed5ebd77ccb06aa9dc27d07566213551ad",
+        "a_quadrant_summary.csv": "b183afdfd230cad61964c84a2069b9ae53720141f8451000213b79962479d4e6",
+        "a_thresholds.json": "b79ec28a507c3de4e397c4e681a92b078b4d3b8be9b9b595d6d7e8e10d47cec7",
+        "b_bands.csv": "f5e29a0935236c781441b5cc575791f265cf285d7d14d4079099524ac069b254",
+        "b_cohorts.csv": "007d110f9f43ef360ddf713a504f25372e5db7de3ea743235980db4589f15d67",
+        "b_indicators.csv": "9a5b4f5aed4b4ab8848b31b176dcddc210d097b3d2fc46e1097756e0c7bcd41f",
+        "diff_bands.csv": "60f325a46f8c13d5e7160362b0cccee1a2d29e1d0ff2fd986ddfed0313675f83",
+        "diff_cohorts.csv": "f11b5cac04596047991cd055b4eef236dec2de2a4c52940fbfe8b9a1fcd311f6",
+        "diff_indicators.csv": "7ade295eabba83d032c059c262732a0c042386f7856fc8545c838dbde20298f7",
+        # header only: side b has no classification
+        "diff_quadrant_summary.csv": "d1021c4a6d116914bbd8b7e82e5be6cde47a8d91862be23d1322357bbfeb3855",
+        # carries classification_note_b
+        "summary.csv": "259a058cee6fa46e5b4530cbb8e66f030d50b13ddd75a73addf7e3a940589519",
     },
     "synth-indicators": {
         "bands.csv": "1d68a8a6e6d831503b0c4ad1ded86f1ebf46ee78cee5179638909e34942ac2e8",

@@ -8,12 +8,8 @@ import pytest
 
 from communitylens.cohorts import cohort_series, topic_activity
 from communitylens.indicators import author_profiles
-from communitylens.overlay import (
-    ClusterOverlayRow,
-    area_rollup,
-    cluster_overlay,
-    emit_map,
-)
+from communitylens.overlay import ClusterOverlayRow, area_rollup, cluster_overlay
+from communitylens.reports import emit_map_csv, emit_map_json
 
 from oracles import (
     AREAS,
@@ -220,36 +216,32 @@ def test_top_cluster_tie_breaks_to_smallest_id():
     assert areas[0].top_cluster_id == "k2"
 
 
-def test_emit_map_csv_schema(tmp_path):
+def test_emit_map_csv_schema():
     corpus = single_pub_corpus(
         {"k1": 10, "k2": 4},
         {"k1": ("alpha", MATHS, 1000, -1.5, 2.0), "k2": ("beta", MATHS, 100, None, None)},
     )
     overlay, _ = overlay_pipeline(corpus)
-    path = tmp_path / "map.csv"
-    emit_map(overlay, path)
-    lines = path.read_text().splitlines()
+    lines = emit_map_csv(overlay).splitlines()
     assert lines[0] == "cluster_id,label,area,x,y,size,color"
     assert lines[1] == f"k1,alpha,{MATHS},-1.5,2.0,10,1.0"
     assert lines[2] == f"k2,beta,{MATHS},,,4,4.0"
 
 
-def test_emit_map_color_metric(tmp_path):
+def test_emit_map_color_metric():
     corpus = single_pub_corpus({"k1": 4}, {"k1": ("a", MATHS, 100, 0.0, 0.0)})
     overlay, _ = overlay_pipeline(corpus)
-    path = tmp_path / "map.csv"
-    emit_map(overlay, path, color_metric="p_stay")
-    assert path.read_text().splitlines()[1].endswith(",4,0.0")
-    with pytest.raises(ValueError):
-        emit_map(overlay, path, color_metric="size")
+    assert emit_map_csv(overlay, color_metric="p_stay").splitlines()[1].endswith(",4,0.0")
+    assert json.loads(emit_map_json(overlay, color_metric="p_stay"))[0]["color"] == 0.0
+    for emit in (emit_map_csv, emit_map_json):
+        with pytest.raises(ValueError, match="'size'"):
+            emit(overlay, color_metric="size")
 
 
-def test_emit_map_json(tmp_path):
+def test_emit_map_json():
     corpus = single_pub_corpus({"k1": 10}, {"k1": ("a", MATHS, 1000, 0.5, -0.5)})
     overlay, _ = overlay_pipeline(corpus)
-    path = tmp_path / "map.json"
-    emit_map(overlay, path)
-    data = json.loads(path.read_text())
+    data = json.loads(emit_map_json(overlay))
     assert data == [
         {
             "cluster_id": "k1",
@@ -263,13 +255,12 @@ def test_emit_map_json(tmp_path):
     ]
 
 
-def test_emit_map_empty_overlay(tmp_path):
-    path = tmp_path / "map.csv"
-    emit_map([], path)
-    assert path.read_text() == "cluster_id,label,area,x,y,size,color\n"
+def test_emit_map_empty_overlay():
+    assert emit_map_csv([]) == "cluster_id,label,area,x,y,size,color\n"
+    assert emit_map_json([]) == "[]\n"
 
 
-def test_large_map_emission_fast_and_stable(tmp_path):
+def test_large_map_emission_fast_and_stable():
     rows = [
         ClusterOverlayRow(
             cluster_id=f"k{i:04d}",
@@ -290,12 +281,11 @@ def test_large_map_emission_fast_and_stable(tmp_path):
         for i in range(4047)
     ]
     start = time.perf_counter()
-    emit_map(rows, tmp_path / "a.csv")
+    first = emit_map_csv(rows)
     elapsed = time.perf_counter() - start
-    emit_map(rows, tmp_path / "b.csv")
     assert elapsed < 1.0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert len((tmp_path / "a.csv").read_text().splitlines()) == 4048
+    assert emit_map_csv(rows) == first
+    assert len(first.splitlines()) == 4048
 
 
 def test_overlay_matches_oracle_on_random_corpora():
