@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .classify import DegenerateDistributionError, classify_authors, resolve_thresholds
@@ -230,22 +231,29 @@ def _check_exists(*paths: str | None) -> None:
             raise _Usage(f"input file is not readable: {path}")
 
 
-def _load(args: argparse.Namespace, *, need_topic: bool = True) -> Corpus:
-    _require(args, "corpus")
-    if need_topic:
-        _require(args, "topic")
-    _check_exists(args.corpus, args.careers, args.clusters)
-    terms = _split_csv(args.terms)
+def _load(args: argparse.Namespace, topics: Sequence[str | None], *, side_b: bool = False) -> Corpus:
+    """Load --corpus, or compare's --corpus-b, indexing `topics` as it parses.
+
+    The loader keeps no records. --terms delineate --topic, so they apply to
+    --corpus only.
+    """
+    if side_b:
+        paths, terms = (args.corpus_b, args.careers_b, args.clusters_b), None
+    else:
+        _require(args, "corpus")
+        if topics:
+            _require(args, "topic")
+        paths, terms = (args.corpus, args.careers, args.clusters), _split_csv(args.terms)
+    _check_exists(*paths)
     if terms and not args.topic:
         raise _Usage("--terms requires --topic")
     return load_corpus(
-        args.corpus,
-        args.careers,
-        args.clusters,
+        *paths,
         _parse_horizon(args.horizon),
         doc_types=_split_csv(args.doc_types),
         delineate_terms=terms,
         delineate_topic=args.topic if terms else None,
+        topics=topics,
     )
 
 
@@ -275,7 +283,7 @@ def _finish(args: argparse.Namespace, files: dict[str, str]) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        corpus = _load(args, need_topic=False)
+        corpus = _load(args, ())
     except CorpusError as exc:
         print(f"invalid corpus: {exc}", file=sys.stderr)
         return 1
@@ -287,9 +295,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 # --- topic subcommands --------------------------------------------------------
-# cohorts, indicators, classify and overlay run one flow: load, build the topic
-# index, build the author profiles when their reports need them, then reduce.
-# compare runs the same index and profile steps for each side inside compare().
+# cohorts, indicators, classify and overlay run one flow: load while indexing
+# the topic, build the author profiles when their reports need them, then
+# reduce. compare runs the same profile steps for each side inside compare().
 
 Profiles = dict[str, AuthorProfile]
 
@@ -349,14 +357,13 @@ _TOPIC_COMMANDS = {
 def _cmd_topic(args: argparse.Namespace) -> int:
     build_files, required, builds_profiles, zero_rows_ok = _TOPIC_COMMANDS[args.subcommand]
     _require(args, *required)
-    corpus = _load(args)
+    corpus = _load(args, (args.topic,))
     index = topic_activity(corpus, args.topic)
     if not index:
         if not zero_rows_ok:
             raise UnknownTopicError(args.topic)
         print(f"warning: topic {args.topic!r} has no publications; emitting zero rows",
               file=sys.stderr)
-    corpus.publications.clear()  # the topic index replaces the record list
     profiles = None
     if builds_profiles:
         profiles = author_profiles(corpus, args.topic, args.focus_mode, index=index)
@@ -368,16 +375,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not args.corpus_b and (args.careers_b or args.clusters_b):
         raise _Usage("--careers-b and --clusters-b need --corpus-b")
     _check_exists(args.corpus_b, args.careers_b, args.clusters_b)
-    corpus = _load(args)
-    corpus_b = None
     if args.corpus_b:
-        corpus_b = load_corpus(
-            args.corpus_b,
-            args.careers_b,
-            args.clusters_b,
-            _parse_horizon(args.horizon),
-            doc_types=_split_csv(args.doc_types),
-        )
+        corpus = _load(args, (args.topic,))
+        corpus_b = _load(args, (args.topic_b,), side_b=True)
+    else:  # one pass indexes both topics
+        corpus, corpus_b = _load(args, (args.topic, args.topic_b)), None
     report = compare(
         corpus, args.topic, args.topic_b, corpus_b,
         stay_window=args.window,

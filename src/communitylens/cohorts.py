@@ -7,6 +7,9 @@ first publication ever falls in the entry year, and stayers who publish on
 the topic again within the stay window. Stayer status is undetermined for
 entry years whose window extends past the horizon, mirroring the blank
 trailing cells in the source tables.
+
+Every report reduces over one TopicIndex per topic (defined in corpus, where
+the loader can build it while parsing); topic_activity() returns it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import Corpus, MissingCareerError
+from .corpus import Corpus, MissingCareerError, TopicIndex
 from .rounding import percent
 
 NEW_AUTHORS = "new_authors"
@@ -112,30 +115,25 @@ class YearCohorts:
         return tuple(flagged)
 
 
-@dataclass(slots=True)
-class TopicIndex:
-    """What a topic's publications say about its authors, from one pass.
-
-    counts maps author_id -> {year: topic publications}, ordered by author_id
-    so every downstream reduction is enumeration-order independent. clusters
-    maps author_id -> ids of the known clusters holding the author's topic
-    publications; authors without one are absent. len() is the number of
-    topic authors.
-    """
-
-    counts: dict[str, dict[int, int]]
-    clusters: dict[str, set[str]]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
 def topic_activity(corpus: Corpus, topic: str) -> TopicIndex:
-    """Build the topic index: the only pass over the publications a report makes."""
+    """The topic index every report reduces over.
+
+    A corpus loaded with ``topics=`` returns the index built while it was
+    parsed; it keeps no records, so a topic it did not index is a ValueError
+    rather than an empty index, which would read as an absent topic.
+    Otherwise this is one pass over the kept records.
+    """
+    if corpus.topic_indexes is not None:
+        index = corpus.topic_indexes.get(topic)
+        if index is None:
+            raise ValueError(
+                f"topic {topic!r} was not indexed when the corpus was loaded "
+                f"(indexed: {sorted(corpus.topic_indexes)})"
+            )
+        return index
     y0, y1 = corpus.horizon
     known = corpus.clusters
-    counts: dict[str, dict[int, int]] = {}
-    clusters: dict[str, set[str]] = {}
+    index = TopicIndex()
     for rec in corpus.publications:
         if topic in rec.topic_flags:
             year = rec.year
@@ -144,21 +142,8 @@ def topic_activity(corpus: Corpus, topic: str) -> TopicIndex:
                     f"publication {rec.pub_id!r} in {year} lies outside horizon {y0}:{y1}"
                 )
             cluster_id = rec.cluster_id
-            if cluster_id is not None and cluster_id not in known:
-                cluster_id = None
-            for author in rec.author_ids:
-                by_year = counts.get(author)
-                if by_year is None:
-                    counts[author] = {year: 1}
-                else:
-                    by_year[year] = by_year.get(year, 0) + 1
-                if cluster_id is not None:
-                    member_of = clusters.get(author)
-                    if member_of is None:
-                        clusters[author] = {cluster_id}
-                    else:
-                        member_of.add(cluster_id)
-    return TopicIndex({a: counts[a] for a in sorted(counts)}, clusters)
+            index.add(year, rec.author_ids, cluster_id if cluster_id in known else None)
+    return index.sort_authors()
 
 
 def _build_year_sets(

@@ -117,7 +117,10 @@ def compare(
     focus_mode: str = TOTAL_RATIO,
     pooled_thresholds: bool = False,
 ) -> ComparisonReport:
-    """Build side a, then side b; topic_b reads from corpus_b when given."""
+    """Build side a, then side b; topic_b reads from corpus_b when given.
+
+    A corpus loaded with ``topics=`` must have indexed the topics it serves.
+    """
     stay_denominator = normalize_denominator(stay_denominator)
     threshold_rule = normalize_rule(threshold_rule)
     focus_mode = normalize_focus_mode(focus_mode)

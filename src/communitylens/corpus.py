@@ -17,6 +17,10 @@ derivation happens before the horizon drop: an author's first year and totals
 reflect every parsed record, which keeps derived careers consistent with what
 a supplied careers file built from the same stream would say.
 
+Given ``topics``, the loader builds each topic's TopicIndex while it parses
+and keeps no records; that is how the CLI loads. Without it, the corpus keeps
+every loaded PublicationRecord for library use.
+
 Loading is the only corpus check. Every defect (undecodable or malformed
 line, duplicate pub_id, missing or conflicting career) raises a CorpusError
 that names the file and line, or the authors concerned; what the load
@@ -54,6 +58,10 @@ _CLUSTERS_HEADER = ["cluster_id", "label", "area", "total_authors", "x", "y"]
 
 # A JSON escape of a UTF-16 surrogate, paired or not
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+# json.loads without its per-call wrapper; the loader accepts its result only
+# when nothing but the newline follows the value
+_raw_decode = json.JSONDecoder().raw_decode
 
 # Cap on per-item detail kept in reports and error messages; counts stay exact.
 _SAMPLE_CAP = 50
@@ -168,13 +176,56 @@ class LoadReport:
         return out
 
 
+@dataclass(slots=True)
+class TopicIndex:
+    """What a topic's publications say about its authors, from one pass.
+
+    counts maps author_id -> {year: topic publications}, ordered by author_id
+    so every downstream reduction is enumeration-order independent. clusters
+    maps author_id -> ids of the known clusters holding the author's topic
+    publications; authors without one are absent. len() is the number of
+    topic authors.
+    """
+
+    counts: dict[str, dict[int, int]] = field(default_factory=dict)
+    clusters: dict[str, set[str]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def add(self, year: int, authors: Iterable[str], cluster_id: str | None) -> None:
+        """Count one topic publication; cluster_id must be a known cluster or None."""
+        counts = self.counts
+        for author in authors:
+            by_year = counts.get(author)
+            if by_year is None:
+                counts[author] = {year: 1}
+            else:
+                by_year[year] = by_year.get(year, 0) + 1
+            if cluster_id is not None:
+                member_of = self.clusters.get(author)
+                if member_of is None:
+                    self.clusters[author] = {cluster_id}
+                else:
+                    member_of.add(cluster_id)
+
+    def sort_authors(self) -> TopicIndex:
+        """Order counts by author_id once the last publication is added."""
+        self.counts = {a: self.counts[a] for a in sorted(self.counts)}
+        return self
+
+
 @dataclass
 class Corpus:
+    """A loaded corpus. topic_indexes is None when the records are kept;
+    otherwise publications is empty and it holds one index per loaded topic."""
+
     publications: list[PublicationRecord]
     careers: dict[str, AuthorCareer]
     clusters: dict[str, ClusterMeta]
     horizon: tuple[int, int]
     load_report: LoadReport | None = None
+    topic_indexes: dict[str, TopicIndex] | None = None
 
 
 # --- topic delineation ----------------------------------------------------
@@ -188,24 +239,39 @@ def _normalize(text: str) -> str:
     return " " + " ".join(_TOKEN_RE.findall(text.lower())) + " "
 
 
-def _compile_terms(terms: Sequence[str]) -> list[str]:
-    compiled = []
+@dataclass(frozen=True, slots=True)
+class _Terms:
+    phrases: tuple[str, ...]  # normalised, with sentinel spaces
+    first_tokens: re.Pattern  # finds any phrase's first token in lowercased text
+
+
+def _compile_terms(terms: Sequence[str]) -> _Terms:
+    phrases = []
     for term in terms:
         norm = _normalize(term)
         if norm != "  ":
-            compiled.append(norm)
-    if not compiled:
+            phrases.append(norm)
+    if not phrases:
         raise ValueError("no usable delineation terms")
-    return compiled
+    firsts = sorted({phrase.split()[0] for phrase in phrases})
+    return _Terms(tuple(phrases), re.compile("|".join(map(re.escape, firsts))))
 
 
-def _matches(compiled: Sequence[str], title: str | None, abstract: str | None,
+def _matches(terms: _Terms, title: str | None, abstract: str | None,
              keywords: Sequence[str] | None) -> bool:
+    fields = (title or "", abstract or "", *(keywords or ()))
+    # Every token of a field's normal form is a substring of the lowercased
+    # field, so one search over all fields rules most records out before the
+    # tokenizer runs. The newline between fields is neither cased nor
+    # case-ignorable, so lower() treats each field (final sigma included) as
+    # it would alone.
+    if terms.first_tokens.search("\n".join(fields).lower()) is None:
+        return False
     # each text field is normalised once, then tested against every phrase
-    for text in (title, abstract, *(keywords or ())):
+    for text in fields:
         if text:
             norm = _normalize(text)
-            if any(phrase in norm for phrase in compiled):
+            if any(phrase in norm for phrase in terms.phrases):
                 return True
     return False
 
@@ -277,6 +343,7 @@ def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
     """Parse a long-format careers file into one AuthorCareer per author."""
     careers: dict[str, AuthorCareer] = {}
     conflicts: list[tuple[str, str]] = []
+    intern_year: dict[int, int] = {}  # one int object per distinct year
     source = str(path)
     for line_no, row in _csv_rows(path, _CAREERS_HEADER):
         author_id = row[0]
@@ -292,8 +359,10 @@ def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
             raise MalformedRecordError(
                 source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
             )
+        year = intern_year.setdefault(year, year)
         career = careers.get(author_id)
         if career is None:
+            yfp = intern_year.setdefault(yfp, yfp)
             career = careers[author_id] = AuthorCareer(author_id, yfp, {})
         elif career.first_year != yfp:
             reason = f"inconsistent yfp {career.first_year} vs {yfp}"
@@ -348,8 +417,15 @@ def load_corpus(
     doc_types: Iterable[str] | None = None,
     delineate_terms: Sequence[str] | None = None,
     delineate_topic: str | None = None,
+    topics: Sequence[str] | None = None,
 ) -> Corpus:
     """Load and cross-check a corpus.
+
+    With ``topics``, each label's TopicIndex is built while the file is
+    parsed, from the records that survive the doc-type filter, the horizon
+    drop, the cluster repair and delineation, and no record is kept:
+    ``publications`` is empty and ``topic_indexes`` holds the indexes (an
+    empty sequence keeps nothing). Checks and counts are the same either way.
 
     Raises MalformedRecordError (DuplicatePubIdError is one) naming the file
     and line of any undecodable or bad line in the three inputs,
@@ -384,6 +460,8 @@ def load_corpus(
             career_list.append(careers[author_id])
 
     publications: list[PublicationRecord] = []
+    indexes = None if topics is None else {topic: TopicIndex() for topic in topics}
+    indexed = tuple(indexes.items()) if indexes else ()
     seen_ids: set[str] = set()
     # Interning tables: corpora repeat years, author tuples, flag sets and
     # small labels millions of times; sharing them dominates peak memory.
@@ -409,11 +487,19 @@ def load_corpus(
                 if not line.strip():
                     continue
                 try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(source, line_no, f"invalid JSON: {exc.msg}") from None
-                except (ValueError, RecursionError) as exc:  # integer over the digit limit, deep nesting
-                    raise MalformedRecordError(source, line_no, f"invalid JSON: {exc}") from None
+                    raw, end = _raw_decode(line)
+                    rest = line[end:]
+                except (ValueError, RecursionError):
+                    rest = None
+                if rest != "\n" and rest != "":
+                    # blanks, a BOM or data around the value, or no value:
+                    # json.loads decides, and names the defect
+                    try:
+                        raw = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise MalformedRecordError(source, line_no, f"invalid JSON: {exc.msg}") from None
+                    except (ValueError, RecursionError) as exc:  # integer over the digit limit, deep nesting
+                        raise MalformedRecordError(source, line_no, f"invalid JSON: {exc}") from None
                 if type(raw) is not dict:
                     raise MalformedRecordError(source, line_no, "record is not an object")
                 # json.loads turns an escape such as \ud800 without its pair into a
@@ -494,19 +580,17 @@ def load_corpus(
                     flags_key = frozenset(flags_raw)
                 title = raw.get("title")
                 abstract = raw.get("abstract")
-                keywords_raw = raw.get("keywords")
+                keywords = raw.get("keywords")
                 if title is not None and type(title) is not str:
                     raise MalformedRecordError(source, line_no, "title must be a string")
                 if abstract is not None and type(abstract) is not str:
                     raise MalformedRecordError(source, line_no, "abstract must be a string")
-                keywords: tuple[str, ...] | None = None
-                if keywords_raw is not None:
-                    if type(keywords_raw) is not list:
+                if keywords is not None:
+                    if type(keywords) is not list:
                         raise MalformedRecordError(source, line_no, "keywords must be a list")
-                    for k in keywords_raw:
+                    for k in keywords:
                         if type(k) is not str:
                             raise MalformedRecordError(source, line_no, "keywords must be strings")
-                    keywords = tuple(keywords_raw)
 
                 cluster_id = raw.get("cluster_id")
                 if cluster_id is not None and (type(cluster_id) is not str or not cluster_id):
@@ -528,21 +612,33 @@ def load_corpus(
                 ):
                     flags_key = flags_key | {delineate_topic}
                     report.delineated += 1
-                flags = intern_flags.setdefault(flags_key, flags_key)
 
-                publications.append(
-                    PublicationRecord(
-                        pub_id, year, author_tuple, flags, cluster_id, doc_type, title, abstract, keywords
+                if indexes is None:
+                    flags = intern_flags.setdefault(flags_key, flags_key)
+                    if keywords is not None:
+                        keywords = tuple(keywords)
+                    publications.append(
+                        PublicationRecord(
+                            pub_id, year, author_tuple, flags, cluster_id, doc_type, title, abstract, keywords
+                        )
                     )
-                )
+                    continue
+                for topic, index in indexed:
+                    if topic in flags_key:
+                        # without cluster metadata no cluster is known
+                        index.add(year, author_tuple, cluster_id if clusters else None)
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    report.publications_loaded = len(publications)
+    report.publications_loaded = (
+        report.publications_parsed - report.dropped_doc_type - report.dropped_out_of_horizon
+    )
     del seen_ids, intern_str, intern_year, intern_authors, intern_flags
+    for _, index in indexed:
+        index.sort_authors()
 
     if careers is None:
         careers = {}
@@ -581,7 +677,8 @@ def load_corpus(
             report.unknown_cluster_samples[:3],
         )
 
-    return Corpus(publications, careers, clusters, horizon, load_report=report)
+    return Corpus(publications, careers, clusters, horizon, load_report=report,
+                  topic_indexes=indexes)
 
 
 # --- canonical writers ------------------------------------------------------

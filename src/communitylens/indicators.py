@@ -8,7 +8,8 @@ lag between first publication and first topic publication.
 author_profiles() builds one profile per topic author from the topic index and
 the careers; it holds the integer topic and career counts of each topic year.
 Year summaries and production bands reduce over those profiles. Count-derived
-means are exact Fractions; only the 95% interval half-width is a float.
+means and the focus variance are exact Fractions; only the 95% interval
+half-width, one square root of the exact variance, is a float.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class _YearAccumulator:
         "entry",
         "production",
         "focus",
-        "focus_sum",
         "focus_sumsq",
     )
 
@@ -163,8 +163,9 @@ class _YearAccumulator:
         self.entry = MeanAccumulator()
         self.production = MeanAccumulator()
         self.focus = MeanAccumulator()
-        self.focus_sum = 0.0
-        self.focus_sumsq = 0.0
+        # career denominator -> sum of squared focus numerators, so the
+        # variance is exact like the mean: focus = 100 * n_topic / n_total
+        self.focus_sumsq: dict[int, int] = {}
 
     def add(self, first_year: int, entry_year: int, n_topic: int, n_total: int) -> None:
         self.first_all.add(first_year)
@@ -174,10 +175,9 @@ class _YearAccumulator:
             self.first_old.add(first_year)
         self.entry.add(entry_year)
         self.production.add(n_topic)
-        self.focus.add(100 * n_topic, n_total)
-        x = 100.0 * n_topic / n_total
-        self.focus_sum += x
-        self.focus_sumsq += x * x
+        x = 100 * n_topic
+        self.focus.add(x, n_total)
+        self.focus_sumsq[n_total] = self.focus_sumsq.get(n_total, 0) + x * x
 
     def summary(self) -> YearIndicatorSummary:
         n = self.first_all.count
@@ -185,9 +185,13 @@ class _YearAccumulator:
         if n >= 1:
             ci = 0.0
             if n >= 2:
-                mean = self.focus_sum / n
-                var = (self.focus_sumsq - n * mean * mean) / (n - 1)
-                ci = 1.96 * math.sqrt(max(var, 0.0) / n)
+                total = self.focus.total()
+                sumsq = sum(
+                    (Fraction(sq, d * d) for d, sq in sorted(self.focus_sumsq.items())),
+                    Fraction(0),
+                )
+                var = (sumsq - total * total / n) / (n - 1)
+                ci = 1.96 * math.sqrt(var / n)
         return YearIndicatorSummary(
             year=self.year,
             n_active=n,

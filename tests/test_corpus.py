@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from communitylens.corpus import (
+    _TOKEN_RE,
+    _compile_terms,
+    _matches,
+    _normalize,
     CareerConflictError,
     DuplicatePubIdError,
     MalformedRecordError,
@@ -124,6 +129,54 @@ def test_json_decoder_limits_are_malformed(tmp_path, line, reason):
         load_corpus(str(path))
     assert err.value.line == 2
     assert reason in str(err.value)
+
+
+_P2 = '{"pub_id": "p2", "year": 2013, "authors": ["a2"]}'
+
+
+@pytest.mark.parametrize(
+    "line,expected",
+    [
+        ("  \t" + _P2, ["p1", "p2"]),
+        (_P2 + " \t ", ["p1", "p2"]),
+        (_P2 + "\r", ["p1", "p2"]),
+        (_P2 + "\r" + _P2.replace("p2", "p3"), ["p1", "p2", "p3"]),  # a lone CR ends a line
+        ("\ufeff" + _P2, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (_P2 + " " + _P2, "invalid JSON: Extra data"),
+        (_P2 + "x", "invalid JSON: Extra data"),
+        ('{"pub_id": "p2", "year": 2013', "invalid JSON: Expecting ',' delimiter"),
+        ('{"pub_id": "p2", "year": NaN, "authors": ["a2"]}',
+         "year must be an integer in 1..9999, got nan"),
+        ('{"pub_id": "p2", "year": 2013, "authors": ["a2"], "score": NaN}', ["p1", "p2"]),
+        ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded while decoding a JSON "
+                        "array from a unicode string"),
+        ('{"pub_id": "p2", "year": ' + "9" * 5000 + ', "authors": ["a2"]}',
+         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value has "
+         "5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        ('{"pub_id": "p2", "year": 2013, "authors": ["a2"], "title": "\\ud800"}',
+         "unpaired UTF-16 surrogate escape"),
+        ("2013", "record is not an object"),
+        (" {} ", "missing field pub_id"),
+    ],
+    ids=["leading-blanks", "trailing-blanks", "crlf", "lone-cr", "bom", "extra-value",
+         "extra-text", "truncated", "nan-year", "nan-ignored", "deep-nesting", "huge-int",
+         "lone-surrogate", "scalar", "blank-padded-object"],
+)
+def test_decoder_parity(tmp_path, line, expected):
+    """Each line loads or fails with the text json.loads alone gave it."""
+    path = tmp_path / "pubs.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(rec()) + "\n" + line + "\n")
+    for topics in (None, ()):
+        if isinstance(expected, list):
+            corpus = load_corpus(str(path), topics=topics)
+            assert corpus.load_report.publications_loaded == len(expected)
+            if topics is None:
+                assert [p.pub_id for p in corpus.publications] == expected
+        else:
+            with pytest.raises(MalformedRecordError) as err:
+                load_corpus(str(path), topics=topics)
+            assert (err.value.line, err.value.reason) == (2, expected)
 
 
 def test_surrogate_pair_escape_loads(tmp_path):
@@ -404,6 +457,41 @@ def test_delineate_abstract_and_keywords():
     assert delineate(make_rec(keywords=("Hadoop", "cloud")), ["hadoop"])
     # phrases never span two keywords
     assert not delineate(make_rec(keywords=("big", "data")), ["big data"])
+
+
+# letters whose lowercase form is longer or depends on context, combining
+# marks, the underscore (not a token character) and separators
+_TRICKY = list("abAB İıßẞΣσς\u0301\u0307_09-.,") + ["ΟΔΟΣ", "Straße"]
+_text = st.lists(st.sampled_from(_TRICKY) | st.characters(), max_size=12).map("".join)
+
+
+@st.composite
+def fields_and_terms(draw):
+    title, abstract = draw(st.none() | _text), draw(st.none() | _text)
+    keywords = draw(st.none() | st.lists(_text, max_size=3).map(tuple))
+    tokens = _TOKEN_RE.findall(" ".join(t for t in (title, abstract, *(keywords or ())) if t))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if tokens and draw(st.integers(0, 3)):
+            at = draw(st.integers(0, len(tokens) - 1))
+            term = draw(st.sampled_from([" ", "-", " _ ", ", "])).join(
+                tokens[at:at + draw(st.integers(1, 3))]
+            )
+            terms.append(term.upper() if draw(st.booleans()) else term)
+        else:
+            terms.append(draw(_text))
+    return title, abstract, keywords, terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields_and_terms())
+def test_prefiltered_matcher_equals_per_field_normalisation(case):
+    title, abstract, keywords, terms = case
+    phrases = [_normalize(t) for t in terms if _normalize(t) != "  "]
+    assume(phrases)
+    fields = [t for t in (title, abstract, *(keywords or ())) if t]
+    expected = any(phrase in _normalize(text) for text in fields for phrase in phrases)
+    assert _matches(_compile_terms(terms), title, abstract, keywords) == expected
 
 
 def test_delineate_needs_usable_terms():

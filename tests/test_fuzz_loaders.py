@@ -5,7 +5,8 @@ wrong JSON types, bools, huge and non-finite numbers, lone surrogate escapes,
 duplicated or wrong headers, CRLF endings, a byte-order mark, truncation and
 undecodable bytes. Every file must either load or raise a CorpusError; a
 MalformedRecordError names the file and one of its lines, and through the CLI
-every case exits 0 or 1.
+every case exits 0 or 1. A load that indexes topics while it parses fails
+exactly where a record-keeping load fails, with the same text.
 """
 
 import json
@@ -15,11 +16,14 @@ from hypothesis import given, settings, strategies as st
 from communitylens.cli import main
 from communitylens.corpus import (
     CareerConflictError,
+    CorpusError,
     MalformedRecordError,
     load_careers_csv,
     load_clusters_csv,
     load_corpus,
 )
+
+from test_streaming import assert_same_load
 
 _CAREERS_HEADER = "author_id,yfp,year,count"
 _CLUSTERS_HEADER = "cluster_id,label,area,total_authors,x,y"
@@ -141,6 +145,21 @@ def damaged_file(draw, line, head=None):
 
 
 jsonl_file = damaged_file(jsonl_line())
+
+
+@st.composite
+def clean_jsonl_file(draw):
+    """Records with distinct ids and only plausible values, so most load."""
+    lines = []
+    good_authors = '["a1", "a2"]'
+    for i in range(draw(st.integers(0, 8))):
+        items = [f'"pub_id": "p{i}"']
+        for name, good in _FIELDS.items():
+            if name in ("year", "authors") or (name != "pub_id" and draw(st.booleans())):
+                value = draw(good)
+                items.append(f'"{name}": {value if value != "[]" else good_authors}')
+        lines.append("{" + ", ".join(items) + "}\n")
+    return "".join(lines).encode("utf-8")
 careers_file = damaged_file(careers_line, header(_CAREERS_HEADER))
 clusters_file = damaged_file(clusters_line, header(_CLUSTERS_HEADER))
 
@@ -199,3 +218,40 @@ def test_validate_exits_0_or_1(tmp_path_factory, pubs, careers, clusters):
             path.write_bytes(data)
             argv += [flag, str(path)]
     assert main(argv) in (0, 1)
+
+
+def outcome(load):
+    """The loaded corpus, or the error's type, text and line."""
+    try:
+        return load()
+    except CorpusError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pubs=jsonl_file | clean_jsonl_file(),
+    careers=st.none() | careers_file,
+    clusters=st.none() | clusters_file,
+    doc_types=st.none() | st.just(["article"]),
+    delineate=st.booleans(),
+)
+def test_streamed_load_fails_like_kept_load(tmp_path_factory, pubs, careers, clusters,
+                                            doc_types, delineate):
+    paths = []
+    for name, data in (("pubs.jsonl", pubs), ("careers.csv", careers),
+                       ("clusters.csv", clusters)):
+        path = None
+        if data is not None:
+            path = scratch(tmp_path_factory, name)
+            path.write_bytes(data)
+        paths.append(path)
+    kwargs = {"doc_types": doc_types}
+    if delineate:
+        kwargs.update(delineate_terms=["big data"], delineate_topic="u")
+    kept = outcome(lambda: load_corpus(*paths, **kwargs))
+    streamed = outcome(lambda: load_corpus(*paths, topics=("t", "u"), **kwargs))
+    if isinstance(kept, tuple):
+        assert streamed == kept
+    else:
+        assert_same_load(kept, streamed, ("t", "u"))

@@ -2,8 +2,10 @@
 
 Each case runs one CLI invocation and compares the SHA-256 of every file it
 writes against a recorded constant. manifest.json is left out because it
-echoes input paths. Inputs are the bd2012 fixture and a small seeded
-synthetic corpus with clusters and two overlapping topics.
+echoes input paths. Inputs are the bd2012 fixture, a small seeded
+synthetic corpus with clusters and two overlapping topics, and a copy of that
+corpus with titles, abstracts, keywords and document types for the
+delineation and doc-type filter cases.
 
 To print the digests of the current code (for example after a deliberate
 change of a report format), run ``python tests/test_golden.py`` with
@@ -13,6 +15,7 @@ change of a report format), run ``python tests/test_golden.py`` with
 import hashlib
 import json
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -42,7 +45,41 @@ def make_synth(base: pathlib.Path) -> pathlib.Path:
             rec["topic_flags"] = ["beta"] if i % 5 == 0 else rec["topic_flags"] + ["beta"]
         lines.append(json.dumps(rec, separators=(",", ":")))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    make_text(base)
     return base
+
+
+# Title words; "Big-Data", "big_data" and "BIG DATA" normalise to the phrase
+# "big data", "big datasets" and "data, big" do not.
+_TITLE_WORDS = ("Big-Data", "big datasets", "Networks", "data, big", "big_data", "Σοφία",
+                "BIG DATA", "Graphs")
+_DOC_TYPES = ("article", "review", "proceedings", "letter")
+
+
+def make_text(base: pathlib.Path) -> pathlib.Path:
+    """Copy of the synth corpus under base/text with text fields and doc types.
+
+    Every record gets a title; every third an abstract; every other keywords,
+    where "machine learning" is one keyword (a phrase) or split over two (not
+    one). doc_type cycles through four values and is absent on every ninth.
+    """
+    text = base / "text"
+    text.mkdir()
+    for name in ("careers.csv", "clusters.csv"):
+        shutil.copy(base / name, text / name)
+    lines = []
+    for i, line in enumerate((base / "publications.jsonl").read_text(encoding="utf-8").splitlines()):
+        rec = json.loads(line)
+        rec["title"] = f"{_TITLE_WORDS[i % len(_TITLE_WORDS)]} of study {i}"
+        if i % 3 == 1:
+            rec["abstract"] = "We apply Machine-Learning." if i % 4 == 1 else "A survey."
+        if i % 2 == 0:
+            rec["keywords"] = ["machine learning"] if i % 10 == 0 else ["machine", "learning"]
+        if i % 9:
+            rec["doc_type"] = _DOC_TYPES[i % len(_DOC_TYPES)]
+        lines.append(json.dumps(rec, separators=(",", ":"), ensure_ascii=False))
+    (text / "publications.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return text
 
 
 def _inputs(corpus: str, base: pathlib.Path) -> list[str]:
@@ -50,8 +87,13 @@ def _inputs(corpus: str, base: pathlib.Path) -> list[str]:
         fx = FIXTURES / "bd2012"
         return ["--corpus", str(fx / "publications.jsonl"), "--careers", str(fx / "careers.csv"),
                 "--topic", "big data"]
+    if corpus == "text":
+        base = base / "text"
     return ["--corpus", str(base / "publications.jsonl"), "--careers", str(base / "careers.csv"),
             "--clusters", str(base / "clusters.csv"), "--topic", "alpha"]
+
+
+TERMS = "big data,machine learning"
 
 
 # case -> (corpus, subcommand and flags)
@@ -79,6 +121,13 @@ CASES = {
                                        "--corpus-b", str(FIXTURES / "bd2012" / "publications.jsonl"),
                                        "--careers-b", str(FIXTURES / "bd2012" / "careers.csv"),
                                        "--stay-denominator", "all", "--window", "3", "--raw"]),
+    "text-validate-doc-types": ("text", ["validate", "--doc-types", "article,review",
+                                         "--terms", TERMS]),
+    "text-cohorts-terms-doc-types": ("text", ["cohorts", "--terms", TERMS,
+                                              "--doc-types", "article,review,proceedings"]),
+    "text-indicators-terms": ("text", ["indicators", "--terms", TERMS]),
+    # delineation of topic a, and both topics indexed from one corpus
+    "text-compare-terms": ("text", ["compare", "--topic-b", "beta", "--terms", TERMS]),
 }
 
 
@@ -204,6 +253,37 @@ GOLDEN: dict[str, dict[str, str]] = {
         # carries classification_note_b
         "summary.csv": "259a058cee6fa46e5b4530cbb8e66f030d50b13ddd75a73addf7e3a940589519",
     },
+    # Recorded from the release before the loader indexed topics while parsing.
+    "text-cohorts-terms-doc-types": {
+        "cohorts.csv": "d975a68915431c205e4888d101ba868b09084fb9ed3ac23b20ecf90b69c63d4c",
+    },
+    "text-compare-terms": {
+        "a_bands.csv": "656b0325c38cb1d018ba7cb7fa5fad85ccfac662e65ae0c04472422c5983265d",
+        "a_cohorts.csv": "f0f2bfccc3953014f0cbad7d563a317aca6ce9eb96060cc15657ffab673ddb93",
+        "a_indicators.csv": "e5e590e6795d1332f0787cd8fdd9b5a2261af567b249d2dbd070c6d884b7a87b",
+        "a_quadrant_authors.csv": "536d2b0bb572a8aa65e0eb6ba4d4f3c3664249d22df47594a06a20d038a1940c",
+        "a_quadrant_summary.csv": "78310f6c345da2ab8a57f8f961c113a6ce34d91946f0a9d27e5fca51f324b83e",
+        "a_thresholds.json": "b79ec28a507c3de4e397c4e681a92b078b4d3b8be9b9b595d6d7e8e10d47cec7",
+        "b_bands.csv": "b2c19663bcbce093025c7110cb5694e13068760dfa4308c830e3d066839e3ec4",
+        "b_cohorts.csv": "7c79e7a88392aef12b8d8cef00a3bd03bc6f2e12f9955f0bbb54c17fd9466b0a",
+        "b_indicators.csv": "1892c69675af99e149594a53b773b8caf0532161b22ca26f7ca5a2325b070400",
+        "b_quadrant_authors.csv": "89b3b1919783b546af25a0d93d80405deab7f3899918a899c47243e99e1315ba",
+        "b_quadrant_summary.csv": "c25101ad794d34d23b21b65644a54c5d071f82653827e503dcb2a08461d753ec",
+        "b_thresholds.json": "5fc42bfd51ecbd1c519fae514ea6a8febf7df717ec3872d65d98e589c9b82430",
+        "diff_bands.csv": "88ceac3f467ad7a3ede29350274ceb4f016a00704da74874e26a0d9f8cd84478",
+        "diff_cohorts.csv": "fe8963d5d80b745785f308ca5779c44373e3392a67571c1ade2aef448590219e",
+        "diff_indicators.csv": "13cd0854d2436ca7e4518bc62aba8144650e64f73523f230a20e3b53998d05fb",
+        "diff_quadrant_summary.csv": "674cecf23d91b64064af6da4c4db18fb0345507b6cfbf6b373a148027a9d17f5",
+        "summary.csv": "5b2534fdbcc0b110683380341f516df32b9a072afb6687c14e7b762088f56fb3",
+    },
+    "text-indicators-terms": {
+        "bands.csv": "656b0325c38cb1d018ba7cb7fa5fad85ccfac662e65ae0c04472422c5983265d",
+        "cohorts.csv": "3e0b8189d8552930c2eab23a4d2c8bc85a18edb2e78cf54b935273e62e18339d",
+        "indicators.csv": "e5e590e6795d1332f0787cd8fdd9b5a2261af567b249d2dbd070c6d884b7a87b",
+    },
+    "text-validate-doc-types": {
+        "validation.txt": "4df0f8cd63079189892de3d6af7836d4b898a5ff3fa81319734a51a9bcddc11f",
+    },
     "synth-indicators": {
         "bands.csv": "1d68a8a6e6d831503b0c4ad1ded86f1ebf46ee78cee5179638909e34942ac2e8",
         "cohorts.csv": "9720cc0797102d4b60dceb3f53826f762c083599a1cff0fa1713698473209ac8",
@@ -234,9 +314,11 @@ def test_reports_match_golden_digests(name, synth_base, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         base = make_synth(pathlib.Path(tmp) / "synth")
         digests = {
             name: run_case(name, base, pathlib.Path(tmp) / name) for name in sorted(CASES)

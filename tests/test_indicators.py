@@ -118,6 +118,17 @@ def test_ci95_zero_variance():
     assert row.focus_ci95 == 0.0
 
 
+def test_ci95_equal_focus_is_exactly_zero():
+    # three authors at focus 100/3; float sums of x and x^2 left 5.4e-07
+    corpus = make_corpus(
+        [(f"p{i}", 2012, [f"a{i}"], ["bd"]) for i in range(3)],
+        careers={f"a{i}": (2012, {2012: 3}) for i in range(3)},
+    )
+    row = [s for s in year_summaries(corpus, "bd") if s.year == 2012][0]
+    assert row.mean_focus == Fraction(100, 3)
+    assert row.focus_ci95 == 0.0
+
+
 def test_ci95_single_author():
     corpus = make_corpus([("p1", 2012, ["a1"], ["bd"])])
     row = [s for s in year_summaries(corpus, "bd") if s.year == 2012][0]

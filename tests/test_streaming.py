@@ -1,0 +1,143 @@
+"""Loads that index topics while they parse.
+
+``load_corpus(..., topics=...)`` keeps no records and builds each topic's
+TopicIndex as it reads the file. It must agree with a record-keeping load
+followed by ``topic_activity``: the same LoadReport, careers and clusters, and
+the same index per topic, author order included.
+"""
+
+import json
+import random
+
+import pytest
+
+from communitylens import cli
+from communitylens.cohorts import cohort_series, topic_activity
+from communitylens.corpus import load_corpus
+from communitylens.synthgen import GeneratorConfig, generate
+
+
+def assert_same_load(kept, streamed, topics):
+    assert streamed.publications == []
+    assert kept.topic_indexes is None
+    assert streamed.load_report == kept.load_report
+    assert streamed.careers == kept.careers
+    assert streamed.clusters == kept.clusters
+    assert list(streamed.topic_indexes) == list(dict.fromkeys(topics))
+    for topic in topics:
+        expected = topic_activity(kept, topic)
+        index = topic_activity(streamed, topic)
+        assert index is streamed.topic_indexes[topic]
+        assert list(index.counts.items()) == list(expected.counts.items())
+        assert index.clusters == expected.clusters
+
+
+def load_both(path, topics, *args, **kwargs):
+    kept = load_corpus(path, *args, **kwargs)
+    streamed = load_corpus(path, *args, topics=topics, **kwargs)
+    assert_same_load(kept, streamed, topics)
+    return streamed
+
+
+def test_bd2012(bd2012_paths):
+    pubs, careers = bd2012_paths
+    streamed = load_both(str(pubs), ("big data",), str(careers))
+    assert len(topic_activity(streamed, "big data")) == 265
+
+
+def mixed_copy(base, seed):
+    """Rewrite a synthgen corpus: second topics, coauthors, text, doc types,
+    pre-horizon years and unknown cluster ids. Careers must then be derived."""
+    rng = random.Random(seed)
+    authors = []
+    lines = []
+    for line in (base / "publications.jsonl").read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        authors.append(rec["authors"][0])
+        roll = rng.random()
+        if roll < 0.2:
+            rec["topic_flags"] = ["beta"]
+        elif roll < 0.4:
+            rec["topic_flags"].append("beta")
+        if rng.random() < 0.3:
+            rec["authors"] = list(dict.fromkeys(rec["authors"] + rng.sample(authors, 1)))
+        if rng.random() < 0.1:
+            rec["year"] = 2005
+        if rng.random() < 0.1:
+            rec["cluster_id"] = "k-unknown"
+        rec["title"] = rng.choice(["Big-Data systems", "big datasets", "Graphs", "BIG DATA"])
+        if rng.random() < 0.8:
+            rec["doc_type"] = rng.choice(["article", "review", "letter"])
+        lines.append(json.dumps(rec))
+    path = base / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_synthgen_corpora(tmp_path, seed):
+    config = GeneratorConfig(
+        seed=seed, authors_per_year={y: 12 for y in range(2008, 2018)},
+        n_clusters=4, n_areas=2, topic="alpha",
+    )
+    generate(config, tmp_path)
+    pubs, careers, clusters = (str(tmp_path / name) for name in
+                               ("publications.jsonl", "careers.csv", "clusters.csv"))
+    load_both(pubs, ("alpha", "absent"), careers, clusters)
+    mixed = str(mixed_copy(tmp_path, seed))
+    kwargs = dict(doc_types=["article", "review"], delineate_terms=["big data"],
+                  delineate_topic="beta")
+    for cluster_path in (clusters, None):  # without metadata no cluster is indexed
+        streamed = load_both(mixed, ("alpha", "beta", "alpha"), None, cluster_path,
+                             (2009, 2016), **kwargs)
+        report = streamed.load_report
+        assert report.dropped_out_of_horizon and report.dropped_doc_type and report.delineated
+        assert bool(streamed.topic_indexes["beta"].clusters) == (cluster_path is not None)
+    assert report.unknown_cluster_count == 0
+    assert load_corpus(mixed, None, clusters, topics=()).load_report.unknown_cluster_count > 0
+
+
+def test_topic_not_indexed_is_an_error(bd2012_paths):
+    pubs, careers = bd2012_paths
+    corpus = load_corpus(str(pubs), str(careers), topics=("big data",))
+    with pytest.raises(ValueError, match="'other' was not indexed"):
+        topic_activity(corpus, "other")
+    with pytest.raises(ValueError, match="not indexed"):
+        cohort_series(corpus, "other")  # never a series of empty rows
+    nothing = load_corpus(str(pubs), str(careers), topics=())
+    assert nothing.topic_indexes == {} and nothing.publications == []
+    with pytest.raises(ValueError, match="not indexed"):
+        topic_activity(nothing, "big data")
+
+
+def test_cli_loads_without_records(bd2012_paths, tmp_path, monkeypatch):
+    """Every subcommand streams; compare indexes both topics in one load."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        corpus = load_corpus(*args, **kwargs)
+        calls.append((args[0], kwargs["topics"], corpus.publications))
+        return corpus
+
+    monkeypatch.setattr(cli, "load_corpus", spy)
+    monkeypatch.delenv("COMMUNITYLENS_CONFIG", raising=False)
+    pubs, careers = (str(p) for p in bd2012_paths)
+    base = ["--corpus", pubs, "--careers", careers, "--topic", "big data"]
+    runs = {
+        "validate": ((),),
+        "cohorts": (("big data",),),
+        "indicators": (("big data",),),
+        "compare": (("big data", "other"),),
+    }
+    for sub, topics in runs.items():
+        calls.clear()
+        extra = ["--topic-b", "other"] if sub == "compare" else []
+        code = cli.main([sub, *base, *extra, "--out", str(tmp_path / sub)])
+        assert code == (1 if sub == "compare" else 0)  # topic "other" is absent
+        assert [c[1] for c in calls] == list(topics)
+        assert all(c[2] == [] for c in calls)
+    calls.clear()
+    argv = ["compare", *base, "--topic-b", "big data", "--corpus-b", pubs, "--careers-b", careers,
+            "--out", str(tmp_path / "compare-b")]
+    assert cli.main(argv) == 0
+    assert [c[1] for c in calls] == [("big data",), ("big data",)]
