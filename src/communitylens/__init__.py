@@ -33,9 +33,7 @@ from .corpus import (
     DuplicatePubIdError,
     MalformedRecordError,
     MissingCareerError,
-    PublicationRecord,
     RESEARCH_AREAS,
-    delineate,
     load_corpus,
 )
 from .indicators import (
@@ -70,7 +68,6 @@ __all__ = [
     "MalformedRecordError",
     "MissingCareerError",
     "ProductionBand",
-    "PublicationRecord",
     "QuadrantAssignment",
     "QuadrantThresholds",
     "RESEARCH_AREAS",
@@ -84,7 +81,6 @@ __all__ = [
     "cluster_overlay",
     "cohort_series",
     "compare",
-    "delineate",
     "generate",
     "load_corpus",
     "production_bands",

@@ -234,8 +234,7 @@ def _check_exists(*paths: str | None) -> None:
 def _load(args: argparse.Namespace, topics: Sequence[str | None], *, side_b: bool = False) -> Corpus:
     """Load --corpus, or compare's --corpus-b, indexing `topics` as it parses.
 
-    The loader keeps no records. --terms delineate --topic, so they apply to
-    --corpus only.
+    --terms delineate --topic, so they apply to --corpus only.
     """
     if side_b:
         paths, terms = (args.corpus_b, args.careers_b, args.clusters_b), None
@@ -304,7 +303,7 @@ Profiles = dict[str, AuthorProfile]
 
 def _cohorts_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
                    profiles: Profiles | None) -> dict[str, str]:
-    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator, index=index)
+    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator)
     return {"cohorts.csv": emit_cohorts_csv(rows, raw=args.raw)}
 
 
@@ -330,7 +329,7 @@ def _classify_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
 
 def _overlay_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
                    profiles: Profiles) -> dict[str, str]:
-    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator, index=index)
+    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator)
     overlay_rows = cluster_overlay(corpus, index, profiles, rows)
     rollups = area_rollup(overlay_rows, index=index, profiles=profiles, cohort_rows=rows)
     if args.map_format == "json":
@@ -366,7 +365,7 @@ def _cmd_topic(args: argparse.Namespace) -> int:
               file=sys.stderr)
     profiles = None
     if builds_profiles:
-        profiles = author_profiles(corpus, args.topic, args.focus_mode, index=index)
+        profiles = author_profiles(corpus, args.topic, args.focus_mode)
     return _finish(args, build_files(args, corpus, index, profiles))
 
 

@@ -8,8 +8,8 @@ the topic again within the stay window. Stayer status is undetermined for
 entry years whose window extends past the horizon, mirroring the blank
 trailing cells in the source tables.
 
-Every report reduces over one TopicIndex per topic (defined in corpus, where
-the loader can build it while parsing); topic_activity() returns it.
+Every report reduces over one TopicIndex per topic, built by the loader
+while it parses (see corpus); topic_activity() returns it.
 """
 
 from __future__ import annotations
@@ -116,34 +116,19 @@ class YearCohorts:
 
 
 def topic_activity(corpus: Corpus, topic: str) -> TopicIndex:
-    """The topic index every report reduces over.
+    """The topic's index, built while the corpus was loaded.
 
-    A corpus loaded with ``topics=`` returns the index built while it was
-    parsed; it keeps no records, so a topic it did not index is a ValueError
-    rather than an empty index, which would read as an absent topic.
-    Otherwise this is one pass over the kept records.
+    The corpus keeps no records, so a topic the load did not index is a
+    ValueError rather than an empty index, which would read as a topic
+    without publications.
     """
-    if corpus.topic_indexes is not None:
-        index = corpus.topic_indexes.get(topic)
-        if index is None:
-            raise ValueError(
-                f"topic {topic!r} was not indexed when the corpus was loaded "
-                f"(indexed: {sorted(corpus.topic_indexes)})"
-            )
-        return index
-    y0, y1 = corpus.horizon
-    known = corpus.clusters
-    index = TopicIndex()
-    for rec in corpus.publications:
-        if topic in rec.topic_flags:
-            year = rec.year
-            if not y0 <= year <= y1:
-                raise ValueError(
-                    f"publication {rec.pub_id!r} in {year} lies outside horizon {y0}:{y1}"
-                )
-            cluster_id = rec.cluster_id
-            index.add(year, rec.author_ids, cluster_id if cluster_id in known else None)
-    return index.sort_authors()
+    index = corpus.topic_indexes.get(topic)
+    if index is None:
+        raise ValueError(
+            f"topic {topic!r} was not indexed when the corpus was loaded "
+            f"(indexed: {sorted(corpus.topic_indexes)})"
+        )
+    return index
 
 
 def _build_year_sets(
@@ -205,20 +190,16 @@ def cohort_series(
     topic: str,
     stay_window: int = 2,
     stay_denominator: str = NEW_AUTHORS,
-    *,
-    index: TopicIndex | None = None,
 ) -> list[YearCohorts]:
     """One YearCohorts per horizon year.
 
     A topic with no publications yields all-empty rows rather than an error,
-    so series emission stays total. Pass the run's topic_activity() index to
-    avoid a second pass over the publications.
+    so series emission stays total.
     """
     if stay_window < 1:
         raise ValueError(f"stay_window must be >= 1, got {stay_window}")
     stay_denominator = normalize_denominator(stay_denominator)
-    if index is None:
-        index = topic_activity(corpus, topic)
+    index = topic_activity(corpus, topic)
     return _build_year_sets(corpus, index, stay_window, stay_denominator)
 
 

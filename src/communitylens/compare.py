@@ -89,8 +89,8 @@ def _build_side(
     index = topic_activity(corpus, topic)
     if not index:
         raise UnknownTopicError(topic)
-    rows = cohort_series(corpus, topic, stay_window, stay_denominator, index=index)
-    profiles = author_profiles(corpus, topic, focus_mode, index=index)
+    rows = cohort_series(corpus, topic, stay_window, stay_denominator)
+    profiles = author_profiles(corpus, topic, focus_mode)
     summaries = year_summaries(corpus, topic, profiles=profiles)
     bands = production_bands(profiles)
     classification = None
@@ -119,7 +119,8 @@ def compare(
 ) -> ComparisonReport:
     """Build side a, then side b; topic_b reads from corpus_b when given.
 
-    A corpus loaded with ``topics=`` must have indexed the topics it serves.
+    Each corpus must have indexed the topic it serves (load_corpus's
+    ``topics``); a same-corpus comparison indexes both in one load.
     """
     stay_denominator = normalize_denominator(stay_denominator)
     threshold_rule = normalize_rule(threshold_rule)

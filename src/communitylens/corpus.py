@@ -1,4 +1,4 @@
-"""Corpus loading, delineation, and canonical writers.
+"""Corpus loading, delineation, and canonical CSV writers.
 
 A corpus couples three inputs:
 
@@ -11,15 +11,14 @@ A corpus couples three inputs:
 * clusters: CSV with header ``cluster_id,label,area,total_authors,x,y``
   describing the publication-level clustering and its map layout. Optional.
 
-Records outside the analysis horizon are dropped at load (and counted), so
-downstream history lookups only ever see within-horizon activity. Career
+A loaded corpus is its careers, its cluster metadata and one TopicIndex per
+topic named in ``topics``, built while the file is parsed; no publication
+record is kept, since every indicator reduces over an author's per-year topic
+counts. Records outside the analysis horizon are dropped at load (and
+counted), so the indexes only ever hold within-horizon activity. Career
 derivation happens before the horizon drop: an author's first year and totals
 reflect every parsed record, which keeps derived careers consistent with what
 a supplied careers file built from the same stream would say.
-
-Given ``topics``, the loader builds each topic's TopicIndex while it parses
-and keeps no records; that is how the CLI loads. Without it, the corpus keeps
-every loaded PublicationRecord for library use.
 
 Loading is the only corpus check. Every defect (undecodable or malformed
 line, duplicate pub_id, missing or conflicting career) raises a CorpusError
@@ -101,21 +100,6 @@ class CareerConflictError(CorpusError):
         more = "" if len(conflicts) <= _SAMPLE_CAP else f" (+{len(conflicts) - _SAMPLE_CAP} more)"
         super().__init__(f"{len(conflicts)} career conflict(s): {shown}{more}")
         self.conflicts = list(conflicts)
-
-
-@dataclass(slots=True)
-class PublicationRecord:
-    """One publication. Treat instances as read-only once loaded."""
-
-    pub_id: str
-    year: int
-    author_ids: tuple[str, ...]
-    topic_flags: frozenset[str]
-    cluster_id: str | None = None
-    doc_type: str | None = None
-    title: str | None = None
-    abstract: str | None = None
-    keywords: tuple[str, ...] | None = None
 
 
 @dataclass(slots=True)
@@ -217,15 +201,18 @@ class TopicIndex:
 
 @dataclass
 class Corpus:
-    """A loaded corpus. topic_indexes is None when the records are kept;
-    otherwise publications is empty and it holds one index per loaded topic."""
+    """A loaded corpus: careers, cluster metadata, and one TopicIndex per
+    topic the load indexed. No publication record is kept."""
 
-    publications: list[PublicationRecord]
     careers: dict[str, AuthorCareer]
     clusters: dict[str, ClusterMeta]
     horizon: tuple[int, int]
+    topic_indexes: dict[str, TopicIndex]
     load_report: LoadReport | None = None
-    topic_indexes: dict[str, TopicIndex] | None = None
+
+    # Not a field: only perfbench/tracer.py reads it, to count delineation
+    # candidates. Delete it when that tracer is replaced (ROADMAP item 3).
+    publications = ()
 
 
 # --- topic delineation ----------------------------------------------------
@@ -259,6 +246,11 @@ def _compile_terms(terms: Sequence[str]) -> _Terms:
 
 def _matches(terms: _Terms, title: str | None, abstract: str | None,
              keywords: Sequence[str] | None) -> bool:
+    """True if any term occurs as a contiguous phrase in the record's text.
+
+    Matching is case-insensitive on token boundaries, so "Big-Data" and
+    "big data" are the same phrase; a phrase never spans two keywords.
+    """
     fields = (title or "", abstract or "", *(keywords or ()))
     # Every token of a field's normal form is a substring of the lowercased
     # field, so one search over all fields rules most records out before the
@@ -274,15 +266,6 @@ def _matches(terms: _Terms, title: str | None, abstract: str | None,
             if any(phrase in norm for phrase in terms.phrases):
                 return True
     return False
-
-
-def delineate(record: PublicationRecord, terms: Sequence[str]) -> bool:
-    """True if any term occurs as a contiguous phrase in the record's text.
-
-    Matching is case-insensitive on token boundaries, so "Big-Data" and
-    "big data" are the same phrase; a phrase never spans two keywords.
-    """
-    return _matches(_compile_terms(terms), record.title, record.abstract, record.keywords)
 
 
 # --- loading ----------------------------------------------------------------
@@ -417,15 +400,14 @@ def load_corpus(
     doc_types: Iterable[str] | None = None,
     delineate_terms: Sequence[str] | None = None,
     delineate_topic: str | None = None,
-    topics: Sequence[str] | None = None,
+    topics: Sequence[str] = (),
 ) -> Corpus:
-    """Load and cross-check a corpus.
+    """Load and cross-check a corpus, indexing ``topics`` as it parses.
 
-    With ``topics``, each label's TopicIndex is built while the file is
-    parsed, from the records that survive the doc-type filter, the horizon
-    drop, the cluster repair and delineation, and no record is kept:
-    ``publications`` is empty and ``topic_indexes`` holds the indexes (an
-    empty sequence keeps nothing). Checks and counts are the same either way.
+    Each label's TopicIndex counts the records that survive the doc-type
+    filter, the horizon drop, the cluster repair and delineation; no record
+    is kept. With no topics nothing is indexed, and the load only checks and
+    counts. Checks and counts do not depend on ``topics``.
 
     Raises MalformedRecordError (DuplicatePubIdError is one) naming the file
     and line of any undecodable or bad line in the three inputs,
@@ -459,16 +441,14 @@ def load_corpus(
             career_index[author_id] = i
             career_list.append(careers[author_id])
 
-    publications: list[PublicationRecord] = []
-    indexes = None if topics is None else {topic: TopicIndex() for topic in topics}
-    indexed = tuple(indexes.items()) if indexes else ()
+    indexes = {topic: TopicIndex() for topic in topics}
+    indexed = tuple(indexes.items())
     seen_ids: set[str] = set()
-    # Interning tables: corpora repeat years, author tuples, flag sets and
-    # small labels millions of times; sharing them dominates peak memory.
+    # Interning tables: corpora repeat years, author ids and cluster ids
+    # millions of times, and the indexes and careers share one object each.
     intern_str: dict[str, str] = {}
     intern_year: dict[int, int] = {}
     intern_authors: dict[tuple[str, ...], tuple[str, ...]] = {}
-    intern_flags: dict[frozenset[str], frozenset[str]] = {}
     # Author activity observed in the stream: either to derive careers or to
     # cross-check supplied ones. Supplied mode packs (author index, year) into
     # one int key to keep 10M-record corpora inside memory.
@@ -570,14 +550,14 @@ def load_corpus(
 
                 flags_raw = raw.get("topic_flags")
                 if flags_raw is None:
-                    flags_key = frozenset()
+                    flags = frozenset()
                 else:
                     if type(flags_raw) is not list:
                         raise MalformedRecordError(source, line_no, "topic_flags must be a list")
                     for f in flags_raw:
                         if type(f) is not str or not f:
                             raise MalformedRecordError(source, line_no, "topic flags must be non-empty strings")
-                    flags_key = frozenset(flags_raw)
+                    flags = frozenset(flags_raw)
                 title = raw.get("title")
                 abstract = raw.get("abstract")
                 keywords = raw.get("keywords")
@@ -595,38 +575,28 @@ def load_corpus(
                 cluster_id = raw.get("cluster_id")
                 if cluster_id is not None and (type(cluster_id) is not str or not cluster_id):
                     raise MalformedRecordError(source, line_no, "cluster_id must be a non-empty string")
-                if cluster_id is not None and clusters and cluster_id not in clusters:
-                    report.unknown_cluster_count += 1
-                    if len(report.unknown_cluster_samples) < _SAMPLE_CAP:
-                        report.unknown_cluster_samples.append((pub_id, cluster_id))
-                    cluster_id = None
                 if cluster_id is not None:
-                    cluster_id = intern_str.setdefault(cluster_id, cluster_id)
-                if doc_type is not None:
-                    doc_type = intern_str.setdefault(doc_type, doc_type)
+                    if not clusters:
+                        cluster_id = None  # without cluster metadata no cluster is known
+                    elif cluster_id in clusters:
+                        cluster_id = intern_str.setdefault(cluster_id, cluster_id)
+                    else:
+                        report.unknown_cluster_count += 1
+                        if len(report.unknown_cluster_samples) < _SAMPLE_CAP:
+                            report.unknown_cluster_samples.append((pub_id, cluster_id))
+                        cluster_id = None
 
                 if (
                     terms is not None
-                    and delineate_topic not in flags_key
+                    and delineate_topic not in flags
                     and _matches(terms, title, abstract, keywords)
                 ):
-                    flags_key = flags_key | {delineate_topic}
+                    flags = flags | {delineate_topic}
                     report.delineated += 1
 
-                if indexes is None:
-                    flags = intern_flags.setdefault(flags_key, flags_key)
-                    if keywords is not None:
-                        keywords = tuple(keywords)
-                    publications.append(
-                        PublicationRecord(
-                            pub_id, year, author_tuple, flags, cluster_id, doc_type, title, abstract, keywords
-                        )
-                    )
-                    continue
                 for topic, index in indexed:
-                    if topic in flags_key:
-                        # without cluster metadata no cluster is known
-                        index.add(year, author_tuple, cluster_id if clusters else None)
+                    if topic in flags:
+                        index.add(year, author_tuple, cluster_id)
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
     finally:
@@ -636,7 +606,7 @@ def load_corpus(
     report.publications_loaded = (
         report.publications_parsed - report.dropped_doc_type - report.dropped_out_of_horizon
     )
-    del seen_ids, intern_str, intern_year, intern_authors, intern_flags
+    del seen_ids, intern_str, intern_year, intern_authors
     for _, index in indexed:
         index.sort_authors()
 
@@ -677,36 +647,10 @@ def load_corpus(
             report.unknown_cluster_samples[:3],
         )
 
-    return Corpus(publications, careers, clusters, horizon, load_report=report,
-                  topic_indexes=indexes)
+    return Corpus(careers, clusters, horizon, indexes, load_report=report)
 
 
 # --- canonical writers ------------------------------------------------------
-
-
-def publication_to_json(rec: PublicationRecord) -> str:
-    """One canonical JSONL line (fixed key order, sorted flags)."""
-    obj: dict = {"pub_id": rec.pub_id, "year": rec.year, "authors": list(rec.author_ids)}
-    if rec.topic_flags:
-        obj["topic_flags"] = sorted(rec.topic_flags)
-    if rec.cluster_id is not None:
-        obj["cluster_id"] = rec.cluster_id
-    if rec.doc_type is not None:
-        obj["doc_type"] = rec.doc_type
-    if rec.title is not None:
-        obj["title"] = rec.title
-    if rec.abstract is not None:
-        obj["abstract"] = rec.abstract
-    if rec.keywords is not None:
-        obj["keywords"] = list(rec.keywords)
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def write_publications_jsonl(path: str | Path, records: Iterable[PublicationRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(publication_to_json(rec))
-            fh.write("\n")
 
 
 def write_careers_csv(path: str | Path, careers: dict[str, AuthorCareer]) -> None:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohorts import TopicIndex, topic_activity
+from .cohorts import topic_activity
 from .corpus import Corpus, MissingCareerError
 from .rounding import MeanAccumulator
 
@@ -68,8 +68,6 @@ def author_profiles(
     corpus: Corpus,
     topic: str,
     focus_mode: str = TOTAL_RATIO,
-    *,
-    index: TopicIndex | None = None,
 ) -> dict[str, AuthorProfile]:
     """One profile per distinct topic author, keyed and ordered by author_id.
 
@@ -77,8 +75,7 @@ def author_profiles(
     author or undercounts a year in which they have topic output.
     """
     focus_mode = normalize_focus_mode(focus_mode)
-    if index is None:
-        index = topic_activity(corpus, topic)
+    index = topic_activity(corpus, topic)
     y0, y1 = corpus.horizon
     careers = corpus.careers
     missing = [a for a in index.counts if a not in careers]

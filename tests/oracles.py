@@ -2,17 +2,27 @@
 
 Every oracle here recomputes its answer by repeated full scans over raw
 publication dicts with nested loops and no shared indexes, so agreement with
-the pipeline is evidence, not tautology. Oracles stay quadratic on purpose;
-they only ever run on small corpora.
+the pipeline is evidence, not tautology. The dicts come straight from the
+random tuples or the JSON lines, never from the package's own types. Oracles
+stay quadratic on purpose; they only ever run on small corpora.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import random
 from fractions import Fraction
 
-from communitylens.corpus import AuthorCareer, ClusterMeta, Corpus, PublicationRecord
+from communitylens.corpus import (
+    AuthorCareer,
+    ClusterMeta,
+    Corpus,
+    TopicIndex,
+    _compile_terms,
+    _matches,
+)
 
 AREAS = (
     "Biomedical & Health Sciences",
@@ -26,66 +36,104 @@ AREAS = (
 # --- corpus construction helpers ---------------------------------------------
 
 
-def make_corpus(pubs, careers=None, clusters=None, horizon=(2008, 2017)):
-    """Build a Corpus from loose tuples.
+def make_corpus(pubs, careers=None, clusters=None, horizon=(2008, 2017), topics=()):
+    """Build a Corpus from loose tuples, indexed the way the loader indexes.
 
     pubs: iterable of (pub_id, year, authors, topics) or (..., cluster_id).
     careers: {author: (yfp, {year: count})}; None derives from the records.
     clusters: {cluster_id: (label, area, total_authors, x, y)} or None.
+    topics: labels indexed even when no record carries them.
+    Every topic of an in-horizon record is indexed; a cluster id that names no
+    known cluster is left out of the index.
     """
-    records = []
+    y0, y1 = horizon
+    cluster_map = {cid: ClusterMeta(cid, *meta) for cid, meta in (clusters or {}).items()}
+    indexes = {topic: TopicIndex() for topic in topics}
+    derived: dict[str, dict[int, int]] = {}
     for item in pubs:
-        pub_id, year, authors, topics = item[:4]
+        year, authors, flags = item[1:4]
         cluster_id = item[4] if len(item) > 4 else None
-        records.append(
-            PublicationRecord(
-                pub_id=str(pub_id),
-                year=year,
-                author_ids=tuple(authors),
-                topic_flags=frozenset(topics),
-                cluster_id=cluster_id,
-            )
-        )
+        if careers is None:
+            for a in authors:
+                by_year = derived.setdefault(a, {})
+                by_year[year] = by_year.get(year, 0) + 1
+        if y0 <= year <= y1:
+            known = cluster_id if cluster_id in cluster_map else None
+            for topic in dict.fromkeys(flags):
+                indexes.setdefault(topic, TopicIndex()).add(year, authors, known)
     if careers is None:
-        derived: dict[str, dict[int, int]] = {}
-        for rec in records:
-            for a in rec.author_ids:
-                derived.setdefault(a, {})
-                derived[a][rec.year] = derived[a].get(rec.year, 0) + 1
         career_map = {a: AuthorCareer(a, min(by), by) for a, by in derived.items()}
     else:
         career_map = {
             a: AuthorCareer(a, yfp, dict(by_year)) for a, (yfp, by_year) in careers.items()
         }
-    cluster_map = {}
-    if clusters:
-        for cid, (label, area, total, x, y) in clusters.items():
-            cluster_map[cid] = ClusterMeta(cid, label, area, total, x, y)
-    return Corpus(records, career_map, cluster_map, horizon)
+    for index in indexes.values():
+        index.sort_authors()
+    return Corpus(career_map, cluster_map, horizon, indexes)
 
 
-def corpus_to_raw(corpus: Corpus):
-    """Plain dicts for the oracles, decoupled from package types."""
-    pubs = []
-    for rec in corpus.publications:
-        pubs.append(
-            {
-                "pub_id": rec.pub_id,
-                "year": rec.year,
-                "authors": list(rec.author_ids),
-                "topics": set(rec.topic_flags),
-                "cluster_id": rec.cluster_id,
-            }
-        )
-    careers = {
-        a: {"yfp": c.first_year, "counts": dict(c.pubs_by_year)}
-        for a, c in corpus.careers.items()
+def raw_corpus(pubs, careers, clusters=None):
+    """Plain dicts for the oracles, made from make_corpus's tuples."""
+    raw_pubs = [
+        {
+            "pub_id": str(item[0]),
+            "year": item[1],
+            "authors": list(item[2]),
+            "topics": set(item[3]),
+            "cluster_id": item[4] if len(item) > 4 else None,
+        }
+        for item in pubs
+    ]
+    raw_careers = {
+        a: {"yfp": yfp, "counts": dict(by_year)} for a, (yfp, by_year) in careers.items()
     }
-    clusters = {
-        cid: {"label": m.label, "area": m.area, "total": m.total_authors, "x": m.x, "y": m.y}
-        for cid, m in corpus.clusters.items()
+    raw_clusters = {
+        cid: {"label": label, "area": area, "total": total, "x": x, "y": y}
+        for cid, (label, area, total, x, y) in (clusters or {}).items()
     }
-    return pubs, careers, clusters
+    return raw_pubs, raw_careers, raw_clusters
+
+
+# --- loader oracle --------------------------------------------------------------
+
+
+def oracle_indexes(publications_path, topics, clusters_path=None, horizon=(2008, 2017), *,
+                   doc_types=None, delineate_terms=None, delineate_topic=None):
+    """Brute-force topic indexes of a publications file that loads.
+
+    Each non-blank line is json.loads'ed; the doc-type filter, the horizon
+    drop, the unknown-cluster repair and delineation are then applied record
+    by record, once per topic. Returns {topic: (counts, clusters)} in the
+    shape of a TopicIndex, counts ordered by author.
+    """
+    with open(publications_path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    known = set()
+    if clusters_path is not None:
+        with open(clusters_path, newline="", encoding="utf-8") as fh:
+            known = {row["cluster_id"] for row in csv.DictReader(fh)}
+    out = {}
+    for topic in topics:
+        counts, clusters = {}, {}
+        for rec in records:
+            if doc_types is not None and rec.get("doc_type") not in doc_types:
+                continue
+            year = rec["year"]
+            if not horizon[0] <= year <= horizon[1]:
+                continue
+            flagged = topic in (rec.get("topic_flags") or ())
+            if not flagged and delineate_terms and topic == delineate_topic:
+                flagged = _matches(_compile_terms(delineate_terms), rec.get("title"),
+                                   rec.get("abstract"), rec.get("keywords"))
+            if not flagged:
+                continue
+            for a in rec["authors"]:
+                by_year = counts.setdefault(a, {})
+                by_year[year] = by_year.get(year, 0) + 1
+                if rec.get("cluster_id") in known:
+                    clusters.setdefault(a, set()).add(rec["cluster_id"])
+        out[topic] = ({a: counts[a] for a in sorted(counts)}, clusters)
+    return out
 
 
 # --- cohort oracle ------------------------------------------------------------
@@ -308,19 +356,23 @@ def oracle_area_rollup(pubs, careers, clusters, topic, horizon, window):
 # --- random corpus generation ---------------------------------------------------
 
 
+# The topic labels of random corpora; pass them to make_corpus as topics=,
+# since a small draw may leave either one without records.
+TOPICS = ("alpha", "beta")
+
+
 def random_raw_corpus(rng: random.Random, max_pubs=80, horizon=(2008, 2017), clustered=True):
     """Random corpus material as loose tuples for make_corpus."""
     y0, y1 = horizon
     n_pubs = rng.randint(1, max_pubs)
     n_authors = rng.randint(1, max(2, n_pubs))
     author_pool = [f"w{i:03d}" for i in range(n_authors)]
-    topics = ["alpha", "beta"]
     cluster_ids = [f"k{i}" for i in range(rng.randint(1, 6))] if clustered else []
     pubs = []
     for i in range(n_pubs):
         year = rng.randint(y0, y1)
         team = rng.sample(author_pool, k=min(len(author_pool), rng.randint(1, 4)))
-        flags = [t for t in topics if rng.random() < 0.45]
+        flags = [t for t in TOPICS if rng.random() < 0.45]
         cid = rng.choice(cluster_ids) if cluster_ids and rng.random() < 0.7 else None
         pubs.append((f"p{i:04d}", year, team, flags, cid))
 

@@ -25,7 +25,7 @@ from communitylens.classify import (
     resolve_thresholds,
 )
 from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series, topic_activity
-from communitylens.corpus import Corpus, load_corpus
+from communitylens.corpus import load_corpus
 from communitylens.indicators import (
     author_profiles,
     production_bands,
@@ -44,13 +44,14 @@ from communitylens.rounding import format_fixed
 from communitylens.synthgen import GeneratorConfig, generate
 
 from oracles import (
-    corpus_to_raw,
+    TOPICS,
     make_corpus,
     oracle_classify,
     oracle_overlay,
     oracle_profiles,
     oracle_year_cohorts,
     random_raw_corpus,
+    raw_corpus,
 )
 
 
@@ -68,7 +69,7 @@ def quiet_overlay_warnings():
 def test_criterion_1_reference_year_table(bd2012_paths):
     start = time.perf_counter()
     pubs, careers = bd2012_paths
-    corpus = load_corpus(str(pubs), careers_path=str(careers))
+    corpus = load_corpus(str(pubs), careers_path=str(careers), topics=["big data"])
     rows = cohort_series(corpus, "big data", stay_window=2)
     row = next(r for r in rows if r.year == 2012)
     emitted = emit_cohorts_csv(rows).splitlines()[5]
@@ -128,8 +129,8 @@ def test_criterion_4_oracle_equivalence():
     for seed in range(10_000, 11_000):
         rng = random.Random(seed)
         pubs, careers, clusters = random_raw_corpus(rng, max_pubs=500)
-        corpus = make_corpus(pubs, careers, clusters)
-        raw_pubs, raw_careers, raw_clusters = corpus_to_raw(corpus)
+        corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
+        raw_pubs, raw_careers, raw_clusters = raw_corpus(pubs, careers, clusters)
         total_pubs += len(raw_pubs)
         window = 1 + seed % 3
         topic = "alpha"
@@ -210,7 +211,7 @@ def test_criterion_5_invariant_suite():
     for seed in range(50_000, 51_250):
         rng = random.Random(seed)
         pubs, careers, clusters = random_raw_corpus(rng, max_pubs=40)
-        corpus = make_corpus(pubs, careers, clusters)
+        corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
         rows = cohort_series(corpus, "alpha", stay_window=2)
         profiles = author_profiles(corpus, "alpha")
 
@@ -271,9 +272,8 @@ def test_criterion_5_invariant_suite():
         cases += 1
 
         # family 8: record order never reaches any report
-        shuffled_records = list(corpus.publications)
-        random.Random(seed + 1).shuffle(shuffled_records)
-        shuffled = Corpus(shuffled_records, corpus.careers, corpus.clusters, corpus.horizon)
+        random.Random(seed + 1).shuffle(pubs)
+        shuffled = make_corpus(pubs, careers, clusters, topics=TOPICS)
         assert render_all(corpus, rows, profiles) == render_all(
             shuffled,
             cohort_series(shuffled, "alpha", stay_window=2),
@@ -298,7 +298,8 @@ def test_criterion_6_generator_statistics(tmp_path):
     assert truth.n_authors == 100_000
 
     corpus = load_corpus(
-        str(tmp_path / "publications.jsonl"), careers_path=str(tmp_path / "careers.csv")
+        str(tmp_path / "publications.jsonl"), careers_path=str(tmp_path / "careers.csv"),
+        topics=["synth"],
     )
     bands = production_bands(author_profiles(corpus, "synth"))
     one_paper_share = float(next(b.share for b in bands if b.label == "1"))

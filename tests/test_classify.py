@@ -18,11 +18,12 @@ from communitylens.cohorts import topic_activity
 from communitylens.indicators import author_profiles
 
 from oracles import (
-    corpus_to_raw,
+    TOPICS,
     make_corpus,
     oracle_classify,
     oracle_profiles,
     random_raw_corpus,
+    raw_corpus,
 )
 
 
@@ -186,8 +187,8 @@ def test_classification_matches_oracle_on_random_corpora():
     checked = 0
     for _ in range(40):
         pubs, careers, clusters = random_raw_corpus(rng, max_pubs=60)
-        corpus = make_corpus(pubs, careers, clusters)
-        raw_pubs, raw_careers, _ = corpus_to_raw(corpus)
+        corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
+        raw_pubs, raw_careers, _ = raw_corpus(pubs, careers, clusters)
         for rule in (PROMOTE, STRICT, INCLUSIVE):
             want_profiles = oracle_profiles(raw_pubs, raw_careers, "alpha", corpus.horizon)
             if not want_profiles:

@@ -368,14 +368,16 @@ def test_compare_cli_degenerate_side_degrades(bd2012_paths, tmp_path):
 
 
 def test_compare_cli_writes_full_set(tmp_path):
-    from communitylens.corpus import write_careers_csv, write_publications_jsonl
-    from test_compare import two_topic_corpus
+    from communitylens.corpus import write_careers_csv
+    from test_compare import TWO_TOPIC_PUBS, two_topic_corpus
 
-    corpus = two_topic_corpus()
     pubs = tmp_path / "pubs.jsonl"
     careers = tmp_path / "careers.csv"
-    write_publications_jsonl(pubs, corpus.publications)
-    write_careers_csv(careers, corpus.careers)
+    pubs.write_text("".join(
+        json.dumps({"pub_id": pub_id, "year": year, "authors": authors, "topic_flags": flags}) + "\n"
+        for pub_id, year, authors, flags in TWO_TOPIC_PUBS
+    ))
+    write_careers_csv(careers, two_topic_corpus().careers)
 
     out = tmp_path / "run"
     code = main(["compare", "--corpus", str(pubs), "--careers", str(careers),

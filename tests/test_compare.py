@@ -13,34 +13,36 @@ from communitylens.compare import (
 )
 from communitylens.indicators import author_profiles, production_bands, year_summaries
 
-from oracles import make_corpus, oracle_cutoff, random_raw_corpus
+from oracles import TOPICS, make_corpus, oracle_cutoff, random_raw_corpus
 
 
-def two_topic_corpus():
-    pubs = [
-        ("p01", 2012, ["a1"], ["alpha"]),
-        ("p02", 2012, ["a1"], ["alpha"]),
-        ("p03", 2012, ["a2"], ["alpha"]),
-        ("p04", 2013, ["a2"], ["alpha"]),
-        ("p05", 2012, ["x1"], ["alpha", "beta"]),
-        ("p06", 2012, ["b1"], ["beta"]),
-        ("p07", 2013, ["b1"], ["beta"]),
-        ("p08", 2013, ["b1"], ["beta"]),
-        ("p09", 2013, ["b2"], ["beta"]),
-    ]
-    careers = {
-        "a1": (2010, {2010: 1, 2012: 2}),
-        "a2": (2012, {2012: 1, 2013: 1}),
-        "x1": (2012, {2012: 2}),
-        "b1": (2012, {2012: 1, 2013: 2}),
-        "b2": (2013, {2013: 1}),
-    }
-    return make_corpus(pubs, careers)
+TWO_TOPIC_PUBS = [
+    ("p01", 2012, ["a1"], ["alpha"]),
+    ("p02", 2012, ["a1"], ["alpha"]),
+    ("p03", 2012, ["a2"], ["alpha"]),
+    ("p04", 2013, ["a2"], ["alpha"]),
+    ("p05", 2012, ["x1"], ["alpha", "beta"]),
+    ("p06", 2012, ["b1"], ["beta"]),
+    ("p07", 2013, ["b1"], ["beta"]),
+    ("p08", 2013, ["b1"], ["beta"]),
+    ("p09", 2013, ["b2"], ["beta"]),
+]
+TWO_TOPIC_CAREERS = {
+    "a1": (2010, {2010: 1, 2012: 2}),
+    "a2": (2012, {2012: 1, 2013: 1}),
+    "x1": (2012, {2012: 2}),
+    "b1": (2012, {2012: 1, 2013: 2}),
+    "b2": (2013, {2013: 1}),
+}
+
+
+def two_topic_corpus(topics=()):
+    return make_corpus(TWO_TOPIC_PUBS, TWO_TOPIC_CAREERS, topics=topics)
 
 
 def random_corpus(seed):
     pubs, careers, clusters = random_raw_corpus(random.Random(seed))
-    return make_corpus(pubs, careers, clusters)
+    return make_corpus(pubs, careers, clusters, topics=TOPICS)
 
 
 def test_self_compare_is_all_zero():
@@ -134,7 +136,7 @@ def test_degenerate_side_reports_note():
 
 
 def test_unknown_topic_raises():
-    corpus = two_topic_corpus()
+    corpus = two_topic_corpus(topics=["no-such-topic"])
     with pytest.raises(UnknownTopicError):
         compare(corpus, "alpha", "no-such-topic")
     with pytest.raises(UnknownTopicError):

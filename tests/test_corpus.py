@@ -12,14 +12,11 @@ from communitylens.corpus import (
     DuplicatePubIdError,
     MalformedRecordError,
     MissingCareerError,
-    PublicationRecord,
-    delineate,
     load_careers_csv,
     load_clusters_csv,
     load_corpus,
     write_careers_csv,
     write_clusters_csv,
-    write_publications_jsonl,
 )
 
 from oracles import make_corpus
@@ -43,11 +40,8 @@ def rec(pub_id="p1", year=2012, authors=("a1",), **extra):
 
 def test_load_minimal(tmp_path):
     path = write_jsonl(tmp_path / "pubs.jsonl", [rec(topic_flags=["bd"])])
-    corpus = load_corpus(path)
-    assert len(corpus.publications) == 1
-    p = corpus.publications[0]
-    assert (p.pub_id, p.year, p.author_ids) == ("p1", 2012, ("a1",))
-    assert p.topic_flags == frozenset({"bd"})
+    corpus = load_corpus(path, topics=["bd"])
+    assert corpus.topic_indexes["bd"].counts == {"a1": {2012: 1}}
     assert corpus.careers["a1"].first_year == 2012
     assert corpus.load_report.publications_loaded == 1
 
@@ -56,7 +50,7 @@ def test_empty_file_is_valid(tmp_path):
     path = tmp_path / "pubs.jsonl"
     path.write_text("")
     corpus = load_corpus(str(path))
-    assert corpus.publications == []
+    assert corpus.load_report.publications_loaded == 0
     assert corpus.careers == {}
     assert corpus.load_report.publications_parsed == 0
 
@@ -64,7 +58,7 @@ def test_empty_file_is_valid(tmp_path):
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "pubs.jsonl"
     path.write_text(json.dumps(rec()) + "\n\n \n")
-    assert len(load_corpus(str(path)).publications) == 1
+    assert load_corpus(str(path)).load_report.publications_loaded == 1
 
 
 @pytest.mark.parametrize(
@@ -167,16 +161,17 @@ def test_decoder_parity(tmp_path, line, expected):
     path = tmp_path / "pubs.jsonl"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(rec()) + "\n" + line + "\n")
-    for topics in (None, ()):
-        if isinstance(expected, list):
-            corpus = load_corpus(str(path), topics=topics)
-            assert corpus.load_report.publications_loaded == len(expected)
-            if topics is None:
-                assert [p.pub_id for p in corpus.publications] == expected
-        else:
-            with pytest.raises(MalformedRecordError) as err:
-                load_corpus(str(path), topics=topics)
-            assert (err.value.line, err.value.reason) == (2, expected)
+    if isinstance(expected, list):
+        corpus = load_corpus(str(path))
+        assert corpus.load_report.publications_loaded == len(expected)
+        # p1 is a1's record in 2012; p2 and p3 are a2's in 2013
+        assert {a: c.pubs_by_year for a, c in corpus.careers.items()} == {
+            "a1": {2012: 1}, "a2": {2013: len(expected) - 1},
+        }
+    else:
+        with pytest.raises(MalformedRecordError) as err:
+            load_corpus(str(path))
+        assert (err.value.line, err.value.reason) == (2, expected)
 
 
 def test_surrogate_pair_escape_loads(tmp_path):
@@ -184,8 +179,8 @@ def test_surrogate_pair_escape_loads(tmp_path):
     # an escaped backslash before "ud800" is no surrogate escape either
     path.write_text('{"pub_id": "p\\ud83d\\ude00", "year": 2012, "authors": ["a\\\\ud800"]}\n')
     corpus = load_corpus(str(path))
-    assert corpus.publications[0].pub_id == "p\U0001F600"
-    assert corpus.publications[0].author_ids == ("a\\ud800",)
+    assert corpus.load_report.publications_loaded == 1
+    assert list(corpus.careers) == ["a\\ud800"]
 
 
 _GOOD_LINE = json.dumps(rec()).encode()
@@ -231,18 +226,20 @@ def test_boolean_year_rejected(tmp_path):
 
 
 def test_horizon_drop_counted(tmp_path):
-    rows = [rec("p1", 2007), rec("p2", 2012), rec("p3", 2018)]
+    rows = [rec("p1", 2007, topic_flags=["bd"]), rec("p2", 2012, topic_flags=["bd"]),
+            rec("p3", 2018, topic_flags=["bd"])]
     path = write_jsonl(tmp_path / "pubs.jsonl", rows)
-    corpus = load_corpus(path)
-    assert [p.pub_id for p in corpus.publications] == ["p2"]
+    corpus = load_corpus(path, topics=["bd"])
+    assert corpus.topic_indexes["bd"].counts == {"a1": {2012: 1}}
     assert corpus.load_report.dropped_out_of_horizon == 2
     assert corpus.load_report.publications_parsed == 3
 
 
 def test_custom_horizon(tmp_path):
-    path = write_jsonl(tmp_path / "pubs.jsonl", [rec("p1", 2000), rec("p2", 2012)])
-    corpus = load_corpus(path, horizon=(1999, 2001))
-    assert [p.pub_id for p in corpus.publications] == ["p1"]
+    rows = [rec("p1", 2000, topic_flags=["bd"]), rec("p2", 2012, topic_flags=["bd"])]
+    path = write_jsonl(tmp_path / "pubs.jsonl", rows)
+    corpus = load_corpus(path, horizon=(1999, 2001), topics=["bd"])
+    assert corpus.topic_indexes["bd"].counts == {"a1": {2000: 1}}
 
 
 def test_bad_horizon(tmp_path):
@@ -262,13 +259,13 @@ def test_derived_careers_span_out_of_horizon_records(tmp_path):
 
 def test_doc_type_filter(tmp_path):
     rows = [
-        rec("p1", doc_type="article"),
-        rec("p2", doc_type="letter"),
-        rec("p3"),  # no doc_type: excluded once a filter is active
+        rec("p1", doc_type="article", topic_flags=["bd"]),
+        rec("p2", doc_type="letter", topic_flags=["bd"]),
+        rec("p3", topic_flags=["bd"]),  # no doc_type: excluded once a filter is active
     ]
     path = write_jsonl(tmp_path / "pubs.jsonl", rows)
-    corpus = load_corpus(path, doc_types={"article"})
-    assert [p.pub_id for p in corpus.publications] == ["p1"]
+    corpus = load_corpus(path, doc_types={"article"}, topics=["bd"])
+    assert corpus.topic_indexes["bd"].counts == {"a1": {2012: 1}}
     assert corpus.load_report.dropped_doc_type == 2
     # filtered-out records do not feed derived careers
     assert set(corpus.careers) == {"a1"}
@@ -412,51 +409,43 @@ def test_duplicate_cluster_id(tmp_path):
 def test_unknown_cluster_reference_cleared(tmp_path):
     pubs = write_jsonl(
         tmp_path / "pubs.jsonl",
-        [rec("p1", cluster_id="k1"), rec("p2", cluster_id="k9", authors=["a2"])],
+        [rec("p1", cluster_id="k1", topic_flags=["bd"]),
+         rec("p2", cluster_id="k9", authors=["a2"], topic_flags=["bd"])],
     )
     clusters = clusters_csv(
         tmp_path, [("k1", "x", "Life & Earth Sciences", 10, "", "")]
     )
-    corpus = load_corpus(pubs, clusters_path=clusters)
-    by_id = {p.pub_id: p for p in corpus.publications}
-    assert by_id["p1"].cluster_id == "k1"
-    assert by_id["p2"].cluster_id is None
+    corpus = load_corpus(pubs, clusters_path=clusters, topics=["bd"])
+    index = corpus.topic_indexes["bd"]
+    assert list(index.counts) == ["a1", "a2"]
+    assert index.clusters == {"a1": {"k1"}}  # p2's reference is cleared
     assert corpus.load_report.unknown_cluster_count == 1
     assert corpus.load_report.unknown_cluster_samples == [("p2", "k9")]
-
-
-def test_cluster_reference_kept_without_metadata(tmp_path):
-    pubs = write_jsonl(tmp_path / "pubs.jsonl", [rec("p1", cluster_id="k9")])
-    corpus = load_corpus(pubs)
-    assert corpus.publications[0].cluster_id == "k9"
 
 
 # --- delineation ----------------------------------------------------------------
 
 
-def make_rec(**kw):
-    base = dict(pub_id="p", year=2012, author_ids=("a",), topic_flags=frozenset())
-    base.update(kw)
-    return PublicationRecord(**base)
+def matches(terms, title=None, abstract=None, keywords=None):
+    return _matches(_compile_terms(terms), title, abstract, keywords)
 
 
 def test_delineate_title_case_insensitive():
-    r = make_rec(title="Towards BIG Data analytics")
-    assert delineate(r, ["big data"])
+    assert matches(["big data"], title="Towards BIG Data analytics")
 
 
 def test_delineate_token_boundaries():
-    assert not delineate(make_rec(title="ambiguous dataset"), ["big data"])
-    assert not delineate(make_rec(title="big dataset"), ["big data"])
-    assert delineate(make_rec(title="big-data systems"), ["big data"])
-    assert delineate(make_rec(title="a BIG, DATA? story"), ["big data"])
+    assert not matches(["big data"], title="ambiguous dataset")
+    assert not matches(["big data"], title="big dataset")
+    assert matches(["big data"], title="big-data systems")
+    assert matches(["big data"], title="a BIG, DATA? story")
 
 
 def test_delineate_abstract_and_keywords():
-    assert delineate(make_rec(abstract="we use map reduce"), ["map reduce"])
-    assert delineate(make_rec(keywords=("Hadoop", "cloud")), ["hadoop"])
+    assert matches(["map reduce"], abstract="we use map reduce")
+    assert matches(["hadoop"], keywords=("Hadoop", "cloud"))
     # phrases never span two keywords
-    assert not delineate(make_rec(keywords=("big", "data")), ["big data"])
+    assert not matches(["big data"], keywords=("big", "data"))
 
 
 # letters whose lowercase form is longer or depends on context, combining
@@ -496,7 +485,7 @@ def test_prefiltered_matcher_equals_per_field_normalisation(case):
 
 def test_delineate_needs_usable_terms():
     with pytest.raises(ValueError):
-        delineate(make_rec(title="x"), ["  "])
+        _compile_terms(["  "])
 
 
 def test_load_with_delineation(tmp_path):
@@ -506,11 +495,9 @@ def test_load_with_delineation(tmp_path):
         rec("p3", topic_flags=["bd"], authors=["a3"]),  # already flagged
     ]
     path = write_jsonl(tmp_path / "pubs.jsonl", rows)
-    corpus = load_corpus(path, delineate_terms=["big data"], delineate_topic="bd")
-    flags = {p.pub_id: p.topic_flags for p in corpus.publications}
-    assert flags["p1"] == frozenset({"bd"})
-    assert flags["p2"] == frozenset()
-    assert flags["p3"] == frozenset({"bd"})
+    corpus = load_corpus(path, delineate_terms=["big data"], delineate_topic="bd", topics=["bd"])
+    # p1 is delineated, p2 is not, p3 was flagged already
+    assert list(corpus.topic_indexes["bd"].counts) == ["a1", "a3"]
     assert corpus.load_report.delineated == 1
 
 
@@ -538,22 +525,6 @@ def test_validate_clean(bd2012_corpus):
 
 
 # --- round trips -------------------------------------------------------------------
-
-
-def test_publication_round_trip(tmp_path):
-    records = [
-        make_rec(pub_id="p1", topic_flags=frozenset({"b", "a"}), cluster_id="k1",
-                 doc_type="article", title="T", abstract="A", keywords=("k1", "k2")),
-        make_rec(pub_id="p2", year=2015, author_ids=("x", "y")),
-    ]
-    path = tmp_path / "out.jsonl"
-    write_publications_jsonl(path, records)
-    again = load_corpus(str(path))
-    assert again.publications == records
-    # canonical key order and sorted flags in the emitted line
-    first = path.read_text().splitlines()[0]
-    assert first.index('"pub_id"') < first.index('"year"') < first.index('"authors"')
-    assert '"topic_flags":["a","b"]' in first
 
 
 def test_careers_round_trip(tmp_path, bd2012_corpus):

@@ -5,8 +5,9 @@ wrong JSON types, bools, huge and non-finite numbers, lone surrogate escapes,
 duplicated or wrong headers, CRLF endings, a byte-order mark, truncation and
 undecodable bytes. Every file must either load or raise a CorpusError; a
 MalformedRecordError names the file and one of its lines, and through the CLI
-every case exits 0 or 1. A load that indexes topics while it parses fails
-exactly where a record-keeping load fails, with the same text.
+every case exits 0 or 1. A load that indexes topics fails exactly where a
+load that indexes none fails, with the same text; when both load, each index
+equals the brute-force oracle's.
 """
 
 import json
@@ -23,7 +24,7 @@ from communitylens.corpus import (
     load_corpus,
 )
 
-from test_streaming import assert_same_load
+from test_streaming import assert_indexes_match, assert_same_load
 
 _CAREERS_HEADER = "author_id,yfp,year,count"
 _CLUSTERS_HEADER = "cluster_id,label,area,total_authors,x,y"
@@ -249,9 +250,10 @@ def test_streamed_load_fails_like_kept_load(tmp_path_factory, pubs, careers, clu
     kwargs = {"doc_types": doc_types}
     if delineate:
         kwargs.update(delineate_terms=["big data"], delineate_topic="u")
-    kept = outcome(lambda: load_corpus(*paths, **kwargs))
-    streamed = outcome(lambda: load_corpus(*paths, topics=("t", "u"), **kwargs))
-    if isinstance(kept, tuple):
-        assert streamed == kept
+    unindexed = outcome(lambda: load_corpus(*paths, **kwargs))
+    indexed = outcome(lambda: load_corpus(*paths, topics=("t", "u"), **kwargs))
+    if isinstance(unindexed, tuple):
+        assert indexed == unindexed
     else:
-        assert_same_load(kept, streamed, ("t", "u"))
+        assert_same_load(unindexed, indexed)
+        assert_indexes_match(indexed, ("t", "u"), paths[0], paths[2], **kwargs)

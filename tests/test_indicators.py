@@ -17,7 +17,7 @@ from communitylens.indicators import (
     year_summaries,
 )
 
-from oracles import corpus_to_raw, make_corpus, oracle_profiles, random_raw_corpus
+from oracles import TOPICS, make_corpus, oracle_profiles, random_raw_corpus, raw_corpus
 
 
 def test_single_author_profile():
@@ -86,11 +86,10 @@ def test_first_year_group_means(age_corpus):
 
 
 def test_year_summary_matches_streaming(bd2012_corpus):
-    # summaries from the run's shared index and profiles equal the standalone
-    # call, and their author counts agree with the cohort rows
-    index = topic_activity(bd2012_corpus, "big data")
-    profiles = author_profiles(bd2012_corpus, "big data", index=index)
-    rows = cohort_series(bd2012_corpus, "big data", index=index)
+    # summaries from the run's shared profiles equal the standalone call, and
+    # their author counts agree with the cohort rows
+    profiles = author_profiles(bd2012_corpus, "big data")
+    rows = cohort_series(bd2012_corpus, "big data")
     summaries = year_summaries(bd2012_corpus, "big data", profiles=profiles)
     assert summaries == year_summaries(bd2012_corpus, "big data")
     for cohort_row, s in zip(rows, summaries):
@@ -170,14 +169,15 @@ def test_band_edges():
 
 
 def test_streaming_band_profiles_match(threshold_corpus):
-    # bands from profiles built on the run's shared index equal the standalone call
+    # profiles follow the shared index's author order; bands cover every author
     index = topic_activity(threshold_corpus, "bd")
-    shared = production_bands(author_profiles(threshold_corpus, "bd", index=index))
-    assert shared == production_bands(author_profiles(threshold_corpus, "bd"))
+    profiles = author_profiles(threshold_corpus, "bd")
+    assert list(profiles) == list(index.counts)
+    assert sum(b.n_authors for b in production_bands(profiles)) == len(index)
 
 
 def test_bands_empty_topic():
-    corpus = make_corpus([("p1", 2012, ["a1"], ["bd"])])
+    corpus = make_corpus([("p1", 2012, ["a1"], ["bd"])], topics=["other"])
     bands = production_bands(author_profiles(corpus, "other"))
     assert all(b.n_authors == 0 and b.share == 0 for b in bands)
 
@@ -197,8 +197,8 @@ def test_profiles_match_oracle_on_random_corpora():
     rng = random.Random(404_809)
     for _ in range(25):
         pubs, careers, clusters = random_raw_corpus(rng, max_pubs=60)
-        corpus = make_corpus(pubs, careers, clusters)
-        raw_pubs, raw_careers, _ = corpus_to_raw(corpus)
+        corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
+        raw_pubs, raw_careers, _ = raw_corpus(pubs, careers, clusters)
         for mode in (TOTAL_RATIO, MEAN_ANNUAL):
             got = author_profiles(corpus, "alpha", focus_mode=mode)
             want = oracle_profiles(

@@ -13,11 +13,12 @@ from communitylens.reports import emit_map_csv, emit_map_json
 
 from oracles import (
     AREAS,
-    corpus_to_raw,
+    TOPICS,
     make_corpus,
     oracle_area_rollup,
     oracle_overlay,
     random_raw_corpus,
+    raw_corpus,
 )
 
 MATHS = "Mathematics & Computer Science"
@@ -25,8 +26,8 @@ MATHS = "Mathematics & Computer Science"
 
 def overlay_pipeline(corpus, topic="bd", window=2):
     index = topic_activity(corpus, topic)
-    profiles = author_profiles(corpus, topic, index=index)
-    rows = cohort_series(corpus, topic, stay_window=window, index=index)
+    profiles = author_profiles(corpus, topic)
+    rows = cohort_series(corpus, topic, stay_window=window)
     overlay = cluster_overlay(corpus, index, profiles, rows)
     areas = area_rollup(overlay, index=index, profiles=profiles, cohort_rows=rows)
     return overlay, areas
@@ -295,12 +296,12 @@ def test_overlay_matches_oracle_on_random_corpora():
         pubs, careers, clusters = random_raw_corpus(rng, max_pubs=60)
         if not clusters:
             continue
-        corpus = make_corpus(pubs, careers, clusters)
-        raw_pubs, raw_careers, raw_clusters = corpus_to_raw(corpus)
+        corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
+        raw_pubs, raw_careers, raw_clusters = raw_corpus(pubs, careers, clusters)
         for topic in ("alpha", "beta"):
             index = topic_activity(corpus, topic)
-            profiles = author_profiles(corpus, topic, index=index)
-            rows = cohort_series(corpus, topic, stay_window=2, index=index)
+            profiles = author_profiles(corpus, topic)
+            rows = cohort_series(corpus, topic, stay_window=2)
             overlay = cluster_overlay(corpus, index, profiles, rows)
             want = oracle_overlay(
                 raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, 2

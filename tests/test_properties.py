@@ -11,7 +11,7 @@ from communitylens.classify import (
     resolve_thresholds,
 )
 from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series, topic_activity
-from communitylens.corpus import Corpus, PublicationRecord, delineate
+from communitylens.corpus import _compile_terms, _matches
 from communitylens.indicators import author_profiles, production_bands
 from communitylens.overlay import cluster_overlay
 from communitylens.reports import (
@@ -23,7 +23,7 @@ from communitylens.reports import (
 from communitylens.indicators import year_summaries
 from communitylens.synthgen import ProductionSampler
 
-from oracles import make_corpus, random_raw_corpus
+from oracles import TOPICS, make_corpus, random_raw_corpus
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -32,7 +32,7 @@ def corpus_from_seed(seed, clustered=True):
     pubs, careers, clusters = random_raw_corpus(
         random.Random(seed), max_pubs=60, clustered=clustered
     )
-    return make_corpus(pubs, careers, clusters)
+    return make_corpus(pubs, careers, clusters, topics=TOPICS)
 
 
 @settings(max_examples=80, deadline=None)
@@ -126,12 +126,10 @@ def test_quadrants_partition_authors(seed, rule):
 @settings(max_examples=40, deadline=None)
 @given(seeds, seeds)
 def test_record_order_never_changes_reports(seed, shuffle_seed):
-    corpus = corpus_from_seed(seed)
-    shuffled_records = list(corpus.publications)
-    random.Random(shuffle_seed).shuffle(shuffled_records)
-    shuffled = Corpus(
-        shuffled_records, corpus.careers, corpus.clusters, corpus.horizon
-    )
+    pubs, careers, clusters = random_raw_corpus(random.Random(seed), max_pubs=60)
+    corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
+    random.Random(shuffle_seed).shuffle(pubs)
+    shuffled = make_corpus(pubs, careers, clusters, topics=TOPICS)
 
     def render(c):
         rows = cohort_series(c, "alpha", stay_window=2)
@@ -154,22 +152,12 @@ def test_record_order_never_changes_reports(seed, shuffle_seed):
     st.text(alphabet="abcdefg -,.", max_size=60),
 )
 def test_delineation_case_and_padding_invariant(before, after):
-    term = "big data"
-    hit = PublicationRecord(
-        pub_id="p1", year=2012, author_ids=("a",), topic_flags=frozenset(),
-        title=f"{before} Big-DATA {after}",
-    )
-    assert delineate(hit, [term])
-    swapped = PublicationRecord(
-        pub_id="p2", year=2012, author_ids=("a",), topic_flags=frozenset(),
-        title=hit.title.upper(),
-    )
-    assert delineate(swapped, [term])
-    miss = PublicationRecord(
-        pub_id="p3", year=2012, author_ids=("a",), topic_flags=frozenset(),
-        title=f"{before} bigdata {after} dataset big",
-    )
-    assert not delineate(miss, [term])
+    terms = _compile_terms(["big data"])
+    hit = f"{before} Big-DATA {after}"
+    assert _matches(terms, hit, None, None)
+    assert _matches(terms, hit.upper(), None, None)
+    miss = f"{before} bigdata {after} dataset big"
+    assert not _matches(terms, miss, None, None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,10 @@
 """Loads that index topics while they parse.
 
 ``load_corpus(..., topics=...)`` keeps no records and builds each topic's
-TopicIndex as it reads the file. It must agree with a record-keeping load
-followed by ``topic_activity``: the same LoadReport, careers and clusters, and
-the same index per topic, author order included.
+TopicIndex as it reads the file. Each index must equal the brute-force index
+of ``oracles.oracle_indexes``, author order included, and the load's checks
+and counts (its LoadReport, careers and clusters) must not depend on which
+topics it indexes.
 """
 
 import json
@@ -13,36 +14,43 @@ import pytest
 
 from communitylens import cli
 from communitylens.cohorts import cohort_series, topic_activity
-from communitylens.corpus import load_corpus
+from communitylens.corpus import DEFAULT_HORIZON, load_corpus
 from communitylens.synthgen import GeneratorConfig, generate
 
+from oracles import oracle_indexes
 
-def assert_same_load(kept, streamed, topics):
-    assert streamed.publications == []
-    assert kept.topic_indexes is None
-    assert streamed.load_report == kept.load_report
-    assert streamed.careers == kept.careers
-    assert streamed.clusters == kept.clusters
-    assert list(streamed.topic_indexes) == list(dict.fromkeys(topics))
+
+def assert_indexes_match(corpus, topics, path, clusters_path=None, **kwargs):
+    """Each index of ``corpus`` equals the oracle's, for the same load options."""
+    assert list(corpus.topic_indexes) == list(dict.fromkeys(topics))
+    expected = oracle_indexes(path, topics, clusters_path, corpus.horizon, **kwargs)
     for topic in topics:
-        expected = topic_activity(kept, topic)
-        index = topic_activity(streamed, topic)
-        assert index is streamed.topic_indexes[topic]
-        assert list(index.counts.items()) == list(expected.counts.items())
-        assert index.clusters == expected.clusters
+        index = topic_activity(corpus, topic)
+        assert index is corpus.topic_indexes[topic]
+        counts, clusters = expected[topic]
+        assert list(index.counts.items()) == list(counts.items())
+        assert index.clusters == clusters
 
 
-def load_both(path, topics, *args, **kwargs):
-    kept = load_corpus(path, *args, **kwargs)
-    streamed = load_corpus(path, *args, topics=topics, **kwargs)
-    assert_same_load(kept, streamed, topics)
-    return streamed
+def assert_same_load(unindexed, indexed):
+    assert unindexed.topic_indexes == {}
+    assert indexed.load_report == unindexed.load_report
+    assert indexed.careers == unindexed.careers
+    assert indexed.clusters == unindexed.clusters
+
+
+def load_checked(path, topics, careers=None, clusters=None, horizon=DEFAULT_HORIZON, **kwargs):
+    """Load with and without ``topics``; check the indexes against the oracle."""
+    corpus = load_corpus(path, careers, clusters, horizon, topics=topics, **kwargs)
+    assert_same_load(load_corpus(path, careers, clusters, horizon, **kwargs), corpus)
+    assert_indexes_match(corpus, topics, path, clusters, **kwargs)
+    return corpus
 
 
 def test_bd2012(bd2012_paths):
     pubs, careers = bd2012_paths
-    streamed = load_both(str(pubs), ("big data",), str(careers))
-    assert len(topic_activity(streamed, "big data")) == 265
+    corpus = load_checked(str(pubs), ("big data",), str(careers))
+    assert len(topic_activity(corpus, "big data")) == 265
 
 
 def mixed_copy(base, seed):
@@ -83,16 +91,16 @@ def test_synthgen_corpora(tmp_path, seed):
     generate(config, tmp_path)
     pubs, careers, clusters = (str(tmp_path / name) for name in
                                ("publications.jsonl", "careers.csv", "clusters.csv"))
-    load_both(pubs, ("alpha", "absent"), careers, clusters)
+    load_checked(pubs, ("alpha", "absent"), careers, clusters)
     mixed = str(mixed_copy(tmp_path, seed))
     kwargs = dict(doc_types=["article", "review"], delineate_terms=["big data"],
                   delineate_topic="beta")
     for cluster_path in (clusters, None):  # without metadata no cluster is indexed
-        streamed = load_both(mixed, ("alpha", "beta", "alpha"), None, cluster_path,
-                             (2009, 2016), **kwargs)
-        report = streamed.load_report
+        corpus = load_checked(mixed, ("alpha", "beta", "alpha"), None, cluster_path,
+                              (2009, 2016), **kwargs)
+        report = corpus.load_report
         assert report.dropped_out_of_horizon and report.dropped_doc_type and report.delineated
-        assert bool(streamed.topic_indexes["beta"].clusters) == (cluster_path is not None)
+        assert bool(corpus.topic_indexes["beta"].clusters) == (cluster_path is not None)
     assert report.unknown_cluster_count == 0
     assert load_corpus(mixed, None, clusters, topics=()).load_report.unknown_cluster_count > 0
 
@@ -105,7 +113,7 @@ def test_topic_not_indexed_is_an_error(bd2012_paths):
     with pytest.raises(ValueError, match="not indexed"):
         cohort_series(corpus, "other")  # never a series of empty rows
     nothing = load_corpus(str(pubs), str(careers), topics=())
-    assert nothing.topic_indexes == {} and nothing.publications == []
+    assert nothing.topic_indexes == {}
     with pytest.raises(ValueError, match="not indexed"):
         topic_activity(nothing, "big data")
 
@@ -116,7 +124,7 @@ def test_cli_loads_without_records(bd2012_paths, tmp_path, monkeypatch):
 
     def spy(*args, **kwargs):
         corpus = load_corpus(*args, **kwargs)
-        calls.append((args[0], kwargs["topics"], corpus.publications))
+        calls.append((args[0], kwargs["topics"], corpus.topic_indexes))
         return corpus
 
     monkeypatch.setattr(cli, "load_corpus", spy)
@@ -135,7 +143,7 @@ def test_cli_loads_without_records(bd2012_paths, tmp_path, monkeypatch):
         code = cli.main([sub, *base, *extra, "--out", str(tmp_path / sub)])
         assert code == (1 if sub == "compare" else 0)  # topic "other" is absent
         assert [c[1] for c in calls] == list(topics)
-        assert all(c[2] == [] for c in calls)
+        assert all(list(c[2]) == list(c[1]) for c in calls)
     calls.clear()
     argv = ["compare", *base, "--topic-b", "big data", "--corpus-b", pubs, "--careers-b", careers,
             "--out", str(tmp_path / "compare-b")]

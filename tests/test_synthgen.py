@@ -36,7 +36,13 @@ def load_generated(out_dir, clustered=True):
         str(out_dir / "publications.jsonl"),
         careers_path=str(out_dir / "careers.csv"),
         clusters_path=str(out_dir / "clusters.csv") if clustered else None,
+        topics=["synth"],
     )
+
+
+def generated_records(out_dir):
+    with open(out_dir / "publications.jsonl", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def digests(out_dir):
@@ -104,12 +110,13 @@ def test_cluster_metadata_consistent(tmp_path):
     assert len(corpus.clusters) == 5
     areas = {meta.area for meta in corpus.clusters.values()}
     assert areas == set(RESEARCH_AREAS[:3])
-    for rec in corpus.publications:
-        assert rec.cluster_id in corpus.clusters
+    records = generated_records(tmp_path)
+    for rec in records:
+        assert rec["cluster_id"] in corpus.clusters
     # claimed totals dominate the observed topic authors: no conflicts
     by_cluster = {}
-    for rec in corpus.publications:
-        by_cluster.setdefault(rec.cluster_id, set()).update(rec.author_ids)
+    for rec in records:
+        by_cluster.setdefault(rec["cluster_id"], set()).update(rec["authors"])
     for cid, authors in by_cluster.items():
         assert corpus.clusters[cid].total_authors >= len(authors)
 
@@ -117,8 +124,8 @@ def test_cluster_metadata_consistent(tmp_path):
 def test_unclustered_output(tmp_path):
     generate(small_config(n_clusters=0, n_areas=1), tmp_path)
     assert not (tmp_path / "clusters.csv").exists()
-    corpus = load_generated(tmp_path, clustered=False)
-    assert all(rec.cluster_id is None for rec in corpus.publications)
+    load_generated(tmp_path, clustered=False)
+    assert all("cluster_id" not in rec for rec in generated_records(tmp_path))
 
 
 def test_full_topic_share_has_pure_careers(tmp_path):
@@ -127,7 +134,7 @@ def test_full_topic_share_has_pure_careers(tmp_path):
     # every author's entire career is the topic output: focus is always 100
     for p in author_profiles(corpus, "synth").values():
         assert p.focus_overall == Fraction(100)
-    assert truth.n_publications == len(corpus.publications)
+    assert truth.n_publications == corpus.load_report.publications_loaded
 
 
 def test_ground_truth_json_round_trip(tmp_path):
