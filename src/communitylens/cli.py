@@ -329,6 +329,8 @@ def _classify_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
 
 def _overlay_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
                    profiles: Profiles) -> dict[str, str]:
+    if not corpus.clusters:  # the file loaded, so it is a header without rows
+        raise CorpusError(f"{args.clusters}: no cluster rows; overlays need cluster metadata")
     rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator)
     overlay_rows = cluster_overlay(corpus, index, profiles, rows)
     rollups = area_rollup(overlay_rows, index=index, profiles=profiles, cohort_rows=rows)

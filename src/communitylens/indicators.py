@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .cohorts import topic_activity
 from .corpus import Corpus, MissingCareerError
-from .rounding import MeanAccumulator
+from .rounding import mean_exact, percent
 
 TOTAL_RATIO = "total_ratio"
 MEAN_ANNUAL = "mean_annual"
@@ -100,10 +100,7 @@ def author_profiles(
             career_total = sum(n for y, n in pubs_by_year.items() if y0 <= y <= y1)
             focus = Fraction(100 * production, career_total)
         else:
-            acc = MeanAccumulator()
-            for y, n_topic in topic_counts.items():
-                acc.add(100 * n_topic, career_counts[y])
-            focus = acc.mean()
+            focus = mean_exact(Fraction(100 * n, career_counts[y]) for y, n in topic_counts.items())
         entry = next(iter(topic_counts))
         profiles[author] = AuthorProfile(
             author_id=author,
@@ -124,7 +121,8 @@ class YearIndicatorSummary:
 
     Absent groups yield None cells. focus_ci95 is the 95% half-width of the
     mean focus under the normal approximation (1.96 * s / sqrt(n), sample sd
-    with ddof=1), 0.0 when fewer than two authors carry a focus value.
+    with ddof=1): None when the year has no active authors, 0.0 when it has
+    one.
     """
 
     year: int
@@ -140,68 +138,43 @@ class YearIndicatorSummary:
     focus_ci95: float | None
 
 
-class _YearAccumulator:
-    __slots__ = (
-        "year",
-        "first_all",
-        "first_new",
-        "first_old",
-        "entry",
-        "production",
-        "focus",
-        "focus_sumsq",
-    )
-
-    def __init__(self, year: int) -> None:
-        self.year = year
-        self.first_all = MeanAccumulator()
-        self.first_new = MeanAccumulator()
-        self.first_old = MeanAccumulator()
-        self.entry = MeanAccumulator()
-        self.production = MeanAccumulator()
-        self.focus = MeanAccumulator()
-        # career denominator -> sum of squared focus numerators, so the
-        # variance is exact like the mean: focus = 100 * n_topic / n_total
-        self.focus_sumsq: dict[int, int] = {}
-
-    def add(self, first_year: int, entry_year: int, n_topic: int, n_total: int) -> None:
-        self.first_all.add(first_year)
-        if entry_year == self.year:
-            self.first_new.add(first_year)
-        else:
-            self.first_old.add(first_year)
-        self.entry.add(entry_year)
-        self.production.add(n_topic)
+def _focus_mean_ci(active: list[tuple[AuthorProfile, int, int]]) -> tuple[Fraction, float]:
+    """Mean focus 100 * n_topic / n_total over a year's active authors, and its
+    95% half-width. Numerators and their squares are summed as ints per career
+    count, so the mean and the sample variance are exact."""
+    sums: dict[int, int] = {}
+    sumsq: dict[int, int] = {}
+    for _, n_topic, n_total in active:
         x = 100 * n_topic
-        self.focus.add(x, n_total)
-        self.focus_sumsq[n_total] = self.focus_sumsq.get(n_total, 0) + x * x
+        sums[n_total] = sums.get(n_total, 0) + x
+        sumsq[n_total] = sumsq.get(n_total, 0) + x * x
+    n = len(active)
+    mean = sum((Fraction(x, d) for d, x in sorted(sums.items())), Fraction(0)) / n
+    if n < 2:
+        return mean, 0.0
+    squares = sum((Fraction(sq, d * d) for d, sq in sorted(sumsq.items())), Fraction(0))
+    var = (squares - n * mean * mean) / (n - 1)
+    return mean, 1.96 * math.sqrt(var / n)
 
-    def summary(self) -> YearIndicatorSummary:
-        n = self.first_all.count
-        ci: float | None = None
-        if n >= 1:
-            ci = 0.0
-            if n >= 2:
-                total = self.focus.total()
-                sumsq = sum(
-                    (Fraction(sq, d * d) for d, sq in sorted(self.focus_sumsq.items())),
-                    Fraction(0),
-                )
-                var = (sumsq - total * total / n) / (n - 1)
-                ci = 1.96 * math.sqrt(var / n)
-        return YearIndicatorSummary(
-            year=self.year,
-            n_active=n,
-            n_new=self.first_new.count,
-            n_old=self.first_old.count,
-            mean_first_year_all=self.first_all.mean(),
-            mean_first_year_new=self.first_new.mean(),
-            mean_first_year_old=self.first_old.mean(),
-            mean_entry_year=self.entry.mean(),
-            mean_production=self.production.mean(),
-            mean_focus=self.focus.mean(),
-            focus_ci95=ci,
-        )
+
+def _year_summary(year: int, active: list[tuple[AuthorProfile, int, int]]) -> YearIndicatorSummary:
+    """Summary of one year from its (profile, topic count, career count) triples."""
+    first_new = [p.first_year for p, _, _ in active if p.entry_year == year]
+    first_old = [p.first_year for p, _, _ in active if p.entry_year != year]
+    mean_focus, ci = _focus_mean_ci(active) if active else (None, None)
+    return YearIndicatorSummary(
+        year=year,
+        n_active=len(active),
+        n_new=len(first_new),
+        n_old=len(first_old),
+        mean_first_year_all=mean_exact(p.first_year for p, _, _ in active),
+        mean_first_year_new=mean_exact(first_new),
+        mean_first_year_old=mean_exact(first_old),
+        mean_entry_year=mean_exact(p.entry_year for p, _, _ in active),
+        mean_production=mean_exact(n_topic for _, n_topic, _ in active),
+        mean_focus=mean_focus,
+        focus_ci95=ci,
+    )
 
 
 def year_summaries(
@@ -214,11 +187,11 @@ def year_summaries(
     if profiles is None:
         profiles = author_profiles(corpus, topic)
     y0, y1 = corpus.horizon
-    accs = {y: _YearAccumulator(y) for y in range(y0, y1 + 1)}
+    active: dict[int, list[tuple[AuthorProfile, int, int]]] = {y: [] for y in range(y0, y1 + 1)}
     for p in profiles.values():
         for y, n_topic in p.topic_counts.items():
-            accs[y].add(p.first_year, p.entry_year, n_topic, p.career_counts[y])
-    return [accs[y].summary() for y in range(y0, y1 + 1)]
+            active[y].append((p, n_topic, p.career_counts[y]))
+    return [_year_summary(y, active[y]) for y in range(y0, y1 + 1)]
 
 
 @dataclass(slots=True)
@@ -233,17 +206,14 @@ class ProductionBand:
 
 def production_bands(profiles: dict[str, AuthorProfile]) -> list[ProductionBand]:
     """Partition authors by whole-horizon production; mean focus per band."""
-    counts = [0] * len(BANDS)
-    focus = [MeanAccumulator() for _ in BANDS]
+    focus: list[list[Fraction]] = [[] for _ in BANDS]
     for p in profiles.values():
         for i, (_, low, high) in enumerate(BANDS):
             if p.production_total >= low and (high is None or p.production_total <= high):
-                counts[i] += 1
-                focus[i].add(p.focus_overall.numerator, p.focus_overall.denominator)
+                focus[i].append(p.focus_overall)
                 break
-    total = len(profiles)
-    rows = []
-    for i, (label, low, high) in enumerate(BANDS):
-        share = Fraction(100 * counts[i], total) if total else Fraction(0)
-        rows.append(ProductionBand(label, low, high, counts[i], share, focus[i].mean()))
-    return rows
+    return [
+        ProductionBand(label, low, high, len(values), percent(len(values), len(profiles)),
+                       mean_exact(values))
+        for (label, low, high), values in zip(BANDS, focus)
+    ]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cohorts import TopicIndex, YearCohorts
 from .corpus import Corpus
 from .indicators import AuthorProfile
-from .rounding import MeanAccumulator, percent
+from .rounding import mean_exact, percent
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,16 @@ def _stay_context(cohort_rows: list[YearCohorts]) -> tuple[int, frozenset[str]]:
     return (max(r.year for r in determined), frozenset(stayers))
 
 
+def _pooled_stay(group: list[AuthorProfile], context: tuple[int, frozenset[str]]) -> Fraction | None:
+    """Percentage of the group's authors entering by H who are stayers; None
+    when none entered by H."""
+    last_entry, stayers = context
+    eligible = [p.author_id for p in group if p.entry_year <= last_entry]
+    if not eligible:
+        return None
+    return percent(sum(a in stayers for a in eligible), len(eligible))
+
+
 def cluster_overlay(
     corpus: Corpus,
     index: TopicIndex,
@@ -81,32 +91,16 @@ def cluster_overlay(
     """One row per cluster holding at least one clustered topic publication."""
     if not corpus.clusters:
         raise ValueError("cluster metadata is required for overlays")
-    horizon_end_determined, stayers = _stay_context(cohort_rows)
-    members: dict[str, list[str]] = {}
+    stay = _stay_context(cohort_rows)
+    members: dict[str, list[AuthorProfile]] = {}
     for author, cluster_ids in index.clusters.items():
         for cluster_id in cluster_ids:
-            members.setdefault(cluster_id, []).append(author)
+            members.setdefault(cluster_id, []).append(profiles[author])
     rows = []
     for cluster_id in sorted(members):
         meta = corpus.clusters[cluster_id]
-        authors = members[cluster_id]
-        first = MeanAccumulator()
-        entry = MeanAccumulator()
-        production = MeanAccumulator()
-        focus = MeanAccumulator()
-        eligible = 0
-        stayed = 0
-        for a in authors:
-            p = profiles[a]
-            first.add(p.first_year)
-            entry.add(p.entry_year)
-            production.add(p.production_total)
-            focus.add(p.focus_overall.numerator, p.focus_overall.denominator)
-            if p.entry_year <= horizon_end_determined:
-                eligible += 1
-                if a in stayers:
-                    stayed += 1
-        n = len(authors)
+        group = members[cluster_id]
+        n = len(group)
         conflict = n > meta.total_authors
         if conflict:
             log.warning(
@@ -128,11 +122,11 @@ def cluster_overlay(
                 n_topic_authors=n,
                 total_authors=meta.total_authors,
                 p_au=p_au,
-                p_stay=percent(stayed, eligible) if eligible else None,
-                mean_first_year=first.mean(),
-                mean_entry_year=entry.mean(),
-                mean_production=production.mean(),
-                mean_focus=focus.mean(),
+                p_stay=_pooled_stay(group, stay),
+                mean_first_year=mean_exact(p.first_year for p in group),
+                mean_entry_year=mean_exact(p.entry_year for p in group),
+                mean_production=mean_exact(p.production_total for p in group),
+                mean_focus=mean_exact(p.focus_overall for p in group),
                 metadata_conflict=conflict,
             )
         )
@@ -147,7 +141,7 @@ def area_rollup(
     cohort_rows: list[YearCohorts],
 ) -> list[AreaRollup]:
     """Aggregate overlay rows per research area (deduplicating authors)."""
-    horizon_end_determined, stayers = _stay_context(cohort_rows)
+    stay = _stay_context(cohort_rows)
     area_rows: dict[str, list[ClusterOverlayRow]] = {}
     for row in overlay_rows:
         area_rows.setdefault(row.area, []).append(row)
@@ -161,27 +155,7 @@ def area_rollup(
     rollups = []
     for area in sorted(area_rows):
         rows = area_rows[area]
-        p_au_acc = MeanAccumulator()
-        p_stay_acc = MeanAccumulator()
-        for r in rows:
-            if r.p_au is not None:
-                p_au_acc.add(r.p_au.numerator, r.p_au.denominator)
-            if r.p_stay is not None:
-                p_stay_acc.add(r.p_stay.numerator, r.p_stay.denominator)
-        first = MeanAccumulator()
-        entry = MeanAccumulator()
-        lag = MeanAccumulator()
-        eligible = 0
-        stayed = 0
-        for a in area_authors[area]:
-            p = profiles[a]
-            first.add(p.first_year)
-            entry.add(p.entry_year)
-            lag.add(p.entry_lag)
-            if p.entry_year <= horizon_end_determined:
-                eligible += 1
-                if a in stayers:
-                    stayed += 1
+        group = [profiles[a] for a in area_authors[area]]
         candidates = [r for r in rows if r.p_au is not None]
         # ties on p_au resolve to the smallest cluster_id
         top = min(candidates, key=lambda r: (-r.p_au, r.cluster_id)) if candidates else None
@@ -189,14 +163,14 @@ def area_rollup(
             AreaRollup(
                 area=area,
                 n_clusters=len(rows),
-                n_authors=len(area_authors[area]),
+                n_authors=len(group),
                 n_authors_full=sum(r.n_topic_authors for r in rows),
-                avg_p_au=p_au_acc.mean(),
-                avg_p_stay=p_stay_acc.mean(),
-                pooled_p_stay=percent(stayed, eligible) if eligible else None,
-                mean_first_year=first.mean(),
-                mean_entry_year=entry.mean(),
-                mean_lag=lag.mean(),
+                avg_p_au=mean_exact(r.p_au for r in candidates),
+                avg_p_stay=mean_exact(r.p_stay for r in rows if r.p_stay is not None),
+                pooled_p_stay=_pooled_stay(group, stay),
+                mean_first_year=mean_exact(p.first_year for p in group),
+                mean_entry_year=mean_exact(p.entry_year for p in group),
+                mean_lag=mean_exact(p.entry_lag for p in group),
                 top_cluster_id=None if top is None else top.cluster_id,
                 top_cluster_label=None if top is None else top.label,
                 top_cluster_p_au=None if top is None else top.p_au,

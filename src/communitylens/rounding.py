@@ -48,46 +48,17 @@ def percent(part: int, whole: int) -> Fraction:
     return Fraction(100 * part, whole)
 
 
-class MeanAccumulator:
-    """Exact mean of rationals, accumulated as integers per denominator.
-
-    Hot loops feed (numerator, denominator) pairs; buckets keyed by the
-    denominator keep the arithmetic in plain ints until the result is asked
-    for, which matters when millions of terms share a handful of denominators.
-    """
-
-    __slots__ = ("_buckets", "_count")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, int] = {}
-        self._count = 0
-
-    def add(self, numerator: int, denominator: int = 1) -> None:
-        self._buckets[denominator] = self._buckets.get(denominator, 0) + numerator
-        self._count += 1
-
-    def extend(self, values: Iterable[Rational]) -> None:
-        for value in values:
-            frac = Fraction(value)
-            self.add(frac.numerator, frac.denominator)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def total(self) -> Fraction:
-        return sum(
-            (Fraction(num, den) for den, num in sorted(self._buckets.items())),
-            Fraction(0),
-        )
-
-    def mean(self) -> Fraction | None:
-        if self._count == 0:
-            return None
-        return self.total() / self._count
-
-
 def mean_exact(values: Iterable[Rational]) -> Fraction | None:
-    acc = MeanAccumulator()
-    acc.extend(values)
-    return acc.mean()
+    """Exact mean of rationals; None when there are none.
+
+    Numerators are summed as plain ints per denominator, and one Fraction is
+    built per distinct denominator, which matters when millions of terms share
+    a handful of denominators.
+    """
+    sums: dict[int, int] = {}
+    count = 0
+    for count, value in enumerate(values, 1):
+        sums[value.denominator] = sums.get(value.denominator, 0) + value.numerator
+    if not count:
+        return None
+    return sum((Fraction(num, den) for den, num in sorted(sums.items())), Fraction(0)) / count

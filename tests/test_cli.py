@@ -353,6 +353,17 @@ def test_overlay_requires_cluster_metadata(bd2012_paths, capsys):
     assert "--clusters" in capsys.readouterr().err
 
 
+def test_overlay_header_only_clusters_is_data_error(bd2012_paths, tmp_path, capsys):
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,label,area,total_authors,x,y\n")
+    out = tmp_path / "run"
+    code = main(["overlay", *bd_args(bd2012_paths, "--clusters", str(clusters),
+                                     "--out", str(out))])
+    assert code == 1
+    assert str(clusters) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_cli_degenerate_side_degrades(bd2012_paths, tmp_path):
     # every fixture author has focus 100, so classification is impossible and
     # the quadrant files must be absent rather than fabricated

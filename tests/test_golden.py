@@ -113,6 +113,9 @@ CASES = {
     "synth-overlay-csv": ("synth", ["overlay"]),
     "synth-overlay-json": ("synth", ["overlay", "--map-format", "json", "--color-metric",
                                      "p_stay", "--raw"]),
+    # non-ratio focus means and pooled p_stay with a different last entry year
+    "synth-overlay-annual": ("synth", ["overlay", "--focus-mode", "annual", "--window", "3",
+                                       "--raw"]),
     "synth-compare": ("synth", ["compare", "--topic-b", "beta"]),
     "synth-compare-pooled": ("synth", ["compare", "--topic-b", "beta", "--pooled-thresholds",
                                        "--raw"]),
@@ -298,6 +301,12 @@ GOLDEN: dict[str, dict[str, str]] = {
         "areas.csv": "8c5c98d69f9d82b8b3f224832d046df4da8f18ee94e6d7cb7baca12eb3a7f486",
         "map.json": "42ee1a8b53c2d1b0068fcacc6e14c44eec1b8a7939f020d56074aa85448a69a7",
         "overlay.csv": "bc2dcf1a5ef55aed927112011526b2119ef993423d695c160594c0184403c800",
+    },
+    # Recorded from the release before the accumulator classes were replaced by mean_exact.
+    "synth-overlay-annual": {
+        "areas.csv": "ad11141c1b10c85c77145e2b67da15827f9d0469bd8fd14fd57ed15dbbdcfaeb",
+        "map.csv": "b90bf236830c5ea12302c67a7ec33e3e06a893cc5d16d70b17cf348be2aeadd0",
+        "overlay.csv": "733fd1b8a8345d3df792ebb9e391d28bc300316dac0928f40038210c7ef1f1e8",
     },
 }
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from communitylens.rounding import (
-    MeanAccumulator,
     format_fixed,
     mean_exact,
     percent,
@@ -61,33 +60,24 @@ def test_percent():
     assert percent(5, 0) == Fraction(0)  # zero-denominator convention
 
 
-def test_mean_accumulator_exact():
-    acc = MeanAccumulator()
-    assert acc.mean() is None
-    acc.add(1, 3)
-    acc.add(1, 3)
-    acc.add(1, 2)
-    # (1/3 + 1/3 + 1/2) / 3 stays exact
-    assert acc.mean() == Fraction(7, 18)
-    assert acc.count == 3
-
-
-def test_mean_accumulator_matches_fraction_sum():
-    acc = MeanAccumulator()
-    values = [Fraction(100 * k, k + 1) for k in range(1, 50)]
-    for v in values:
-        acc.add(v.numerator, v.denominator)
-    assert acc.mean() == sum(values, Fraction(0)) / len(values)
-
-
 def test_mean_exact():
     assert mean_exact([]) is None
+    assert mean_exact(iter([])) is None
     assert mean_exact([Fraction(1), Fraction(2)]) == Fraction(3, 2)
 
 
+def test_mean_exact_of_thirds_and_half():
+    # (1/3 + 1/3 + 1/2) / 3 stays exact
+    assert mean_exact([Fraction(1, 3), Fraction(1, 3), Fraction(1, 2)]) == Fraction(7, 18)
+
+
+def test_mean_exact_matches_fraction_sum():
+    values = [Fraction(100 * k, k + 1) for k in range(1, 50)]
+    assert mean_exact(iter(values)) == sum(values, Fraction(0)) / len(values)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1))
-def test_accumulator_of_integers_is_exact_mean(xs):
-    acc = MeanAccumulator()
-    for x in xs:
-        acc.add(x)
-    assert acc.mean() == Fraction(sum(xs), len(xs))
+def test_mean_of_integers_is_exact_fraction(xs):
+    mean = mean_exact(xs)
+    assert isinstance(mean, Fraction)  # reports.cell dispatches on type
+    assert mean == Fraction(sum(xs), len(xs))
