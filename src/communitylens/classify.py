@@ -12,13 +12,19 @@ tie rule reproduces both a >=2-papers specialist floor on a distribution
 dominated by one-paper authors and a 100%-focus boundary where the top
 quartile is saturated. Plain strict (>) and inclusive (>=) rules without
 promotion are available for sensitivity runs.
+
+Cutoffs are exact. The values are sorted by float(), which is correctly
+rounded for ints and Fractions and so never reverses an order; then each run
+of equal floats that holds distinct values is re-sorted exactly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .cohorts import TopicIndex
 from .corpus import Corpus
@@ -85,21 +91,47 @@ class QuadrantThresholds:
         return value >= self.focus_cutoff
 
 
+_ratio = attrgetter("numerator", "denominator")
+
+
 def _nearest_rank_p75(values: list) -> Fraction:
     # values ascending; rank = ceil(0.75 n), 1-based
     rank = math.ceil(Fraction(3, 4) * len(values))
     return values[rank - 1]
 
 
+def _exact_sorted(values: list) -> list:
+    """values (ints or Fractions) in exact ascending order.
+
+    float() of either is correctly rounded, so it never reverses an order:
+    the float order is exact except within a run of equal floats that holds
+    distinct values, and only such runs are re-sorted with exact comparisons.
+    Normalised (numerator, denominator) pairs tell distinct values apart
+    without running Fraction.__eq__ or __lt__ on every element.
+    """
+    ordered = sorted(values, key=float)
+    keys = list(map(float, ordered))
+    if len(set(keys)) == len(set(map(_ratio, ordered))):
+        return ordered  # one value per float
+    start = 0
+    while start < len(ordered):
+        end = bisect_right(keys, keys[start], start)
+        run = ordered[start:end]
+        if len(set(map(_ratio, run))) > 1:
+            ordered[start:end] = sorted(run)
+        start = end
+    return ordered
+
+
 def _resolve_one(values: list, indicator: str, rule: str) -> CutTrace:
-    values = sorted(values)
+    values = _exact_sorted(values)
     if values[0] == values[-1]:
         raise DegenerateDistributionError(indicator, values[0])
     raw = _nearest_rank_p75(values)
     cutoff = raw
     promoted = False
     if rule == PROMOTE and raw == values[0]:
-        cutoff = next(v for v in values if v > raw)
+        cutoff = values[bisect_right(values, raw)]
         promoted = True
     return CutTrace(raw_percentile=Fraction(raw), cutoff=Fraction(cutoff), promoted=promoted)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .classify import (
     ClassificationResult,
     DegenerateDistributionError,
+    QuadrantThresholds,
     classify_authors,
     resolve_thresholds,
     normalize_rule,
@@ -67,8 +68,8 @@ class CommunitySide:
     summaries: list[YearIndicatorSummary]
     bands: list[ProductionBand]
     profiles: dict[str, AuthorProfile]
-    classification: ClassificationResult | None
-    classification_note: str | None
+    classification: ClassificationResult | None = None
+    classification_note: str | None = None  # why classification is None
 
 
 @dataclass
@@ -83,9 +84,9 @@ def _build_side(
     topic: str,
     stay_window: int,
     stay_denominator: str,
-    threshold_rule: str,
     focus_mode: str,
 ) -> CommunitySide:
+    """Every report of one side but its classification, which compare adds."""
     index = topic_activity(corpus, topic)
     if not index:
         raise UnknownTopicError(topic)
@@ -93,16 +94,16 @@ def _build_side(
     profiles = author_profiles(corpus, topic, focus_mode)
     summaries = year_summaries(corpus, topic, profiles=profiles)
     bands = production_bands(profiles)
-    classification = None
-    note = None
+    return CommunitySide(topic, index, len(profiles), rows, summaries, bands, profiles)
+
+
+def _thresholds_or_note(
+    profiles: dict[str, AuthorProfile], rule: str
+) -> tuple[QuadrantThresholds | None, str | None]:
     try:
-        thresholds = resolve_thresholds(profiles, threshold_rule)
-        classification = classify_authors(profiles, thresholds, corpus=corpus, index=index)
+        return resolve_thresholds(profiles, rule), None
     except DegenerateDistributionError as exc:
-        note = str(exc)
-    return CommunitySide(
-        topic, index, len(profiles), rows, summaries, bands, profiles, classification, note
-    )
+        return None, str(exc)
 
 
 def compare(
@@ -126,8 +127,8 @@ def compare(
     threshold_rule = normalize_rule(threshold_rule)
     focus_mode = normalize_focus_mode(focus_mode)
     other = corpus_b if corpus_b is not None else corpus
-    side_a = _build_side(corpus, topic_a, stay_window, stay_denominator, threshold_rule, focus_mode)
-    side_b = _build_side(other, topic_b, stay_window, stay_denominator, threshold_rule, focus_mode)
+    side_a = _build_side(corpus, topic_a, stay_window, stay_denominator, focus_mode)
+    side_b = _build_side(other, topic_b, stay_window, stay_denominator, focus_mode)
 
     if pooled_thresholds:
         pooled = dict(side_a.profiles)
@@ -135,16 +136,15 @@ def compare(
         # both value sets into one cutoff resolution.
         for author_id, profile in side_b.profiles.items():
             pooled[f"{author_id}\x00b"] = profile
-        try:
-            thresholds = resolve_thresholds(pooled, threshold_rule)
-            for side, cp in ((side_a, corpus), (side_b, other)):
-                side.classification = classify_authors(
-                    side.profiles, thresholds, corpus=cp, index=side.index
-                )
-                side.classification_note = None
-        except DegenerateDistributionError as exc:
-            side_a.classification = side_b.classification = None
-            side_a.classification_note = side_b.classification_note = str(exc)
+        cuts = [_thresholds_or_note(pooled, threshold_rule)] * 2
+    else:
+        cuts = [_thresholds_or_note(side.profiles, threshold_rule) for side in (side_a, side_b)]
+    for (side, cp), (thresholds, note) in zip(((side_a, corpus), (side_b, other)), cuts):
+        side.classification_note = note
+        if thresholds is not None:
+            side.classification = classify_authors(
+                side.profiles, thresholds, corpus=cp, index=side.index
+            )
 
     overlap = len(set(side_a.profiles) & set(side_b.profiles))
     return ComparisonReport(side_a, side_b, overlap)

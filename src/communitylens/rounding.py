@@ -7,6 +7,7 @@ floats would misround cells like 1086/5982 * 100.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,9 +52,9 @@ def percent(part: int, whole: int) -> Fraction:
 def mean_exact(values: Iterable[Rational]) -> Fraction | None:
     """Exact mean of rationals; None when there are none.
 
-    Numerators are summed as plain ints per denominator, and one Fraction is
-    built per distinct denominator, which matters when millions of terms share
-    a handful of denominators.
+    Numerators are summed as plain ints per denominator, since millions of
+    terms often share a handful of denominators. Those sums are combined over
+    the lcm of their denominators into one Fraction, which normalises it.
     """
     sums: dict[int, int] = {}
     count = 0
@@ -61,4 +62,18 @@ def mean_exact(values: Iterable[Rational]) -> Fraction | None:
         sums[value.denominator] = sums.get(value.denominator, 0) + value.numerator
     if not count:
         return None
-    return sum((Fraction(num, den) for den, num in sorted(sums.items())), Fraction(0)) / count
+    den, num = _sum_over_lcm(list(sums.items()))
+    return Fraction(num, den * count)
+
+
+def _sum_over_lcm(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """(lcm of the denominators, numerator over it) for nonempty (den, num)
+    terms. Merging halves keeps the operands balanced, so many distinct large
+    denominators cost far less than adding them one by one."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    d1, n1 = _sum_over_lcm(terms[:mid])
+    d2, n2 = _sum_over_lcm(terms[mid:])
+    g = math.gcd(d1, d2)
+    return d1 // g * d2, n1 * (d2 // g) + n2 * (d1 // g)

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from communitylens.classify import (
     GROUPS,
@@ -15,12 +17,13 @@ from communitylens.classify import (
     resolve_thresholds,
 )
 from communitylens.cohorts import topic_activity
-from communitylens.indicators import author_profiles
+from communitylens.indicators import AuthorProfile, author_profiles
 
 from oracles import (
     TOPICS,
     make_corpus,
     oracle_classify,
+    oracle_cutoff,
     oracle_profiles,
     random_raw_corpus,
     raw_corpus,
@@ -48,6 +51,71 @@ def profiles_for(pairs):
         careers[a] = (min(years), counts)
     corpus = make_corpus(pubs, careers)
     return author_profiles(corpus, "bd")
+
+
+def value_profiles(pairs):
+    """Bare profiles carrying only the (production, focus) values the cutoffs read."""
+    return {
+        f"a{i:03d}": AuthorProfile(f"a{i:03d}", 2008, 2008, {}, {}, production, focus, 0)
+        for i, (production, focus) in enumerate(pairs)
+    }
+
+
+# Distinct values that share a float: the float order alone cannot rank them.
+_TINY = Fraction(1, 10**30)
+_FOCUS_TWINS = [b + d for b in (Fraction(1, 3), Fraction(100, 3), Fraction(200, 7), Fraction(50))
+                for d in (-_TINY, 0, _TINY, 2 * _TINY)]
+_PRODUCTION_TWINS = [2**53, 2**53 + 1, 2**53 + 2, 1, 2, 3]
+
+
+def test_float_twins_straddling_p75_rank_in_reverse_order():
+    lo, hi = Fraction(1, 3), Fraction(1, 3) + _TINY
+    assert lo < hi and float(lo) == float(hi)
+    assert float(2**53) == float(2**53 + 1)
+    # ascending [0, 0, lo, hi]: rank 3 is lo, though hi comes first in the input
+    t = resolve_thresholds(value_profiles([(2, hi), (1, lo), (1, 0), (2, 0)]), INCLUSIVE)
+    assert t.focus_cutoff == lo == t.focus_trace.raw_percentile
+    # ascending [lo, lo, lo, hi]: rank 3 is the minimum, so promote to hi
+    t = resolve_thresholds(value_profiles([(2, hi), (1, lo), (1, lo), (2, lo)]), PROMOTE)
+    assert t.focus_trace.raw_percentile == lo
+    assert t.focus_cutoff == hi and t.focus_trace.promoted
+    # the same for production counts that share a float
+    big = 2**53
+    t = resolve_thresholds(value_profiles([(big + 1, 1), (big, 2), (big, 3), (big, 4)]), PROMOTE)
+    assert t.production_trace.raw_percentile == big
+    assert t.production_cutoff == big + 1 and t.production_trace.promoted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from(_PRODUCTION_TWINS)),
+            st.one_of(st.fractions(min_value=0, max_value=100), st.sampled_from(_FOCUS_TWINS)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([PROMOTE, STRICT, INCLUSIVE]),
+)
+def test_resolve_thresholds_matches_oracle_cutoff(pairs, rule):
+    profiles = value_profiles(pairs)
+    productions = [p for p, _ in pairs]
+    focuses = [f for _, f in pairs]
+    if len(set(productions)) == 1 or len(set(focuses)) == 1:
+        with pytest.raises(DegenerateDistributionError) as err:
+            resolve_thresholds(profiles, rule)
+        assert err.value.indicator == ("production" if len(set(productions)) == 1 else "focus")
+        return
+    t = resolve_thresholds(profiles, rule)
+    for values, trace, cutoff in (
+        (productions, t.production_trace, t.production_cutoff),
+        (focuses, t.focus_trace, t.focus_cutoff),
+    ):
+        want, promoted = oracle_cutoff(values, rule)
+        assert cutoff == trace.cutoff == want
+        assert trace.promoted == promoted
+        assert trace.raw_percentile == sorted(values)[math.ceil(0.75 * len(values)) - 1]
 
 
 def test_nearest_rank_examples():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -132,6 +133,83 @@ def test_degenerate_side_reports_note():
     assert "classification_note_b" in files["summary.csv"]
     assert "classification_note_a" not in files["summary.csv"]
     # the diff table degrades to header-only rather than inventing zeros
+    assert files["diff_quadrant_summary.csv"].count("\n") == 1
+
+
+@pytest.mark.parametrize("pooled, resolutions", [(False, 2), (True, 1)])
+def test_each_side_classified_once(pooled, resolutions, monkeypatch):
+    # the package exports the function compare under the submodule's name
+    compare_module = importlib.import_module("communitylens.compare")
+    calls = []
+    for name in ("resolve_thresholds", "classify_authors"):
+        real = getattr(compare_module, name)
+        monkeypatch.setattr(compare_module, name,
+                            lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    compare(two_topic_corpus(), "alpha", "beta", pooled_thresholds=pooled)
+    assert calls.count("resolve_thresholds") == resolutions
+    assert calls.count("classify_authors") == 2
+
+
+def test_pooled_cutoffs_classify_a_side_that_alone_is_degenerate():
+    # gamma alone: every author has one paper; pooled with alpha: 2 in 1/1/1/2
+    pubs = [
+        ("p1", 2012, ["a1"], ["alpha"]),
+        ("p2", 2012, ["a1"], ["alpha"]),
+        ("p3", 2013, ["a2"], ["alpha"]),
+        ("p4", 2012, ["c1"], ["gamma"]),
+        ("p5", 2013, ["c2"], ["gamma"]),
+    ]
+    careers = {
+        "a1": (2012, {2012: 3}),
+        "a2": (2013, {2013: 1}),
+        "c1": (2012, {2012: 1}),
+        "c2": (2013, {2013: 1}),
+    }
+    corpus = make_corpus(pubs, careers)
+    assert compare(corpus, "alpha", "gamma").side_b.classification is None
+    report = compare(corpus, "alpha", "gamma", pooled_thresholds=True)
+    for side in (report.side_a, report.side_b):
+        assert side.classification_note is None
+        t = side.classification.thresholds
+        assert (t.production_cutoff, t.focus_cutoff) == (2, Fraction(100))
+        assert t.production_trace.promoted
+    groups = {a.author_id: a.group for side in (report.side_a, report.side_b)
+              for a in side.classification.assignments}
+    assert groups == {"a1": "casual", "a2": "interested", "c1": "interested",
+                      "c2": "interested"}
+    files = comparison_files(report)
+    assert "b_thresholds.json" in files
+    assert "classification_note" not in files["summary.csv"]
+
+
+def test_pooled_degenerate_values_leave_both_sides_unclassified():
+    # alone each side is degenerate in production (2s, 1s); pooled, only focus is
+    pubs = [
+        ("p1", 2012, ["a1"], ["alpha"]),
+        ("p2", 2013, ["a1"], ["alpha"]),
+        ("p3", 2012, ["a2"], ["alpha"]),
+        ("p4", 2013, ["a2"], ["alpha"]),
+        ("p5", 2012, ["c1"], ["gamma"]),
+        ("p6", 2013, ["c2"], ["gamma"]),
+    ]
+    careers = {
+        "a1": (2012, {2012: 1, 2013: 1}),
+        "a2": (2012, {2012: 1, 2013: 1}),
+        "c1": (2012, {2012: 1}),
+        "c2": (2013, {2013: 1}),
+    }
+    corpus = make_corpus(pubs, careers)
+    split = compare(corpus, "alpha", "gamma")
+    assert split.side_a.classification_note.endswith("production = 2")
+    report = compare(corpus, "alpha", "gamma", pooled_thresholds=True)
+    note = "cannot resolve a quadrant cutoff: every author has focus = 100"
+    for side in (report.side_a, report.side_b):
+        assert side.classification is None
+        assert side.classification_note == note
+    files = comparison_files(report)
+    assert not any(name.endswith("thresholds.json") for name in files)
+    assert f"classification_note_a,{note}" in files["summary.csv"]
+    assert f"classification_note_b,{note}" in files["summary.csv"]
     assert files["diff_quadrant_summary.csv"].count("\n") == 1
 
 

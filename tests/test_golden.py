@@ -119,6 +119,10 @@ CASES = {
     "synth-compare": ("synth", ["compare", "--topic-b", "beta"]),
     "synth-compare-pooled": ("synth", ["compare", "--topic-b", "beta", "--pooled-thresholds",
                                        "--raw"]),
+    # pooled cutoffs over per-year focus means under the strict rule
+    "synth-compare-pooled-annual": ("synth", ["compare", "--topic-b", "beta",
+                                              "--pooled-thresholds", "--focus-mode", "annual",
+                                              "--threshold-rule", "strict", "--raw"]),
     # side b is a second corpus whose classification is degenerate
     "synth-compare-bd2012": ("synth", ["compare", "--topic-b", "big data",
                                        "--corpus-b", str(FIXTURES / "bd2012" / "publications.jsonl"),
@@ -235,6 +239,26 @@ GOLDEN: dict[str, dict[str, str]] = {
         "diff_cohorts.csv": "f1a4d21f9bd6a3b4495c7fb4ada5853165775c6568b2ff408e46cbcb49d0fcca",
         "diff_indicators.csv": "32a6bb5e97b8a5a744a37fe3b4ffcc23dee2e30b702548550638ae0489a39654",
         "diff_quadrant_summary.csv": "c206c1f901324423c100215579007e44c062b65c1f27a97163dca44829b4f2ea",
+        "summary.csv": "22b42006f33a2fa5052d74ebdd89169fbaae09fc2fb8fa6004f4776f8d10e745",
+    },
+    # Recorded from the release before cutoffs were sorted in float order.
+    "synth-compare-pooled-annual": {
+        "a_bands.csv": "7727fa3a9d83b6252d5f30881306080a6c64b200a67eb7a7de0c5f6abefbd7e9",
+        "a_cohorts.csv": "ec8cfe29fa4810696ff9b1f140130aef9c76bb2de724147da4055365bb2244cd",
+        "a_indicators.csv": "6868547771409614dc37be590fbb77d192b7d4b30a066c27711a65076ee63b25",
+        "a_quadrant_authors.csv": "5b2d7385d395f6dc4245ae13f5cf52334adcd4d1dd58f2921b1a59cf9498a7e6",
+        "a_quadrant_summary.csv": "d5eb72f62384eac4191166c18c6b244cd6e58bf2819beb5a9ab0497310fb14d4",
+        "a_thresholds.json": "df3a489707615f6f1f46da5013607d56926f20e78113af7295b230f33a2e0b58",
+        "b_bands.csv": "a9d0f2928a432c33ec823834f0154abb597b0c917f5f1afc73e56e2d5463d929",
+        "b_cohorts.csv": "bdb32429e1b871f200193763050ffca66e2cd542052b1efb73f70bf374ba4963",
+        "b_indicators.csv": "8905eb4741269a298edbd4fafc87ae327e0e4ca88b64460a7626bbf4cd2fb672",
+        "b_quadrant_authors.csv": "26cb405e9bb3c113ab852016cf66154f47ef2bb448aa804a48f3ba19514ed6b3",
+        "b_quadrant_summary.csv": "85a4e575360b8b47bcb1be4b66dfbd72f5339f9e4791a62d6d977f8e6df199ed",
+        "b_thresholds.json": "df3a489707615f6f1f46da5013607d56926f20e78113af7295b230f33a2e0b58",
+        "diff_bands.csv": "a869762b77f1191208b6ace95b05547ad395a7c7ce296d16e4079545400eb124",
+        "diff_cohorts.csv": "f1a4d21f9bd6a3b4495c7fb4ada5853165775c6568b2ff408e46cbcb49d0fcca",
+        "diff_indicators.csv": "32a6bb5e97b8a5a744a37fe3b4ffcc23dee2e30b702548550638ae0489a39654",
+        "diff_quadrant_summary.csv": "c3c41bb001c94ea681f3194e78f4961ce82efc9b6e32a6689b0b60f5af466620",
         "summary.csv": "22b42006f33a2fa5052d74ebdd89169fbaae09fc2fb8fa6004f4776f8d10e745",
     },
     # Recorded from the release before the single-column-list report refactor.

@@ -81,3 +81,25 @@ def test_mean_of_integers_is_exact_fraction(xs):
     mean = mean_exact(xs)
     assert isinstance(mean, Fraction)  # reports.cell dispatches on type
     assert mean == Fraction(sum(xs), len(xs))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=-10**40, max_value=10**40),
+                  st.integers(min_value=1, max_value=10**30)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_mean_exact_over_many_large_denominators(pairs):
+    values = [Fraction(num, den) for num, den in pairs]
+    mean = mean_exact(values)
+    assert isinstance(mean, Fraction)
+    assert mean == sum(map(Fraction, values)) / len(values)
+
+
+def test_mean_exact_over_distinct_prime_denominators():
+    primes = [p for p in range(10**4, 10**4 + 2000) if all(p % q for q in range(2, 101))]
+    primes = [p for p in primes if all(p % q for q in range(101, int(p**0.5) + 1))]
+    values = [Fraction(k, p) for k, p in enumerate(primes, 1)] + [7, Fraction(7)]
+    assert mean_exact(values) == sum(map(Fraction, values)) / len(values)
