@@ -14,11 +14,16 @@ A corpus couples three inputs:
 A loaded corpus is its careers, its cluster metadata and one TopicIndex per
 topic named in ``topics``, built while the file is parsed; no publication
 record is kept, since every indicator reduces over an author's per-year topic
-counts. Records outside the analysis horizon are dropped at load (and
-counted), so the indexes only ever hold within-horizon activity. Career
-derivation happens before the horizon drop: an author's first year and totals
-reflect every parsed record, which keeps derived careers consistent with what
-a supplied careers file built from the same stream would say.
+counts. Of what a record parses to, the load keeps only what those hold:
+years are interned, a known cluster id is the metadata's own string, and
+author ids are not interned, since no kept record would share them.
+
+Records outside the analysis horizon are dropped at load (and counted), so
+the indexes only ever hold within-horizon activity. Each author's per-year
+record counts are taken before the horizon drop, in one pass for either
+career source: derived careers are built from them, so an author's first year
+and totals reflect every parsed record, and supplied careers are checked
+against them.
 
 Loading is the only corpus check. Every defect (undecodable or malformed
 line, duplicate pub_id, missing or conflicting career) raises a CorpusError
@@ -432,29 +437,22 @@ def load_corpus(
         report.unknown_areas = bad_areas
 
     careers: dict[str, AuthorCareer] | None = None
-    career_index: dict[str, int] = {}
-    career_list: list[AuthorCareer] = []
     if careers_path is not None:
         careers = load_careers_csv(careers_path)
         report.career_source = "supplied"
-        for i, author_id in enumerate(careers):
-            career_index[author_id] = i
-            career_list.append(careers[author_id])
 
     indexes = {topic: TopicIndex() for topic in topics}
     indexed = tuple(indexes.items())
     seen_ids: set[str] = set()
-    # Interning tables: corpora repeat years, author ids and cluster ids
-    # millions of times, and the indexes and careers share one object each.
-    intern_str: dict[str, str] = {}
+    # The load keeps only the careers and the indexes. Years repeat millions of
+    # times across their dicts, so they are interned; a known cluster id is the
+    # metadata's own string. Author ids are not interned, because no record is
+    # kept to share them with.
     intern_year: dict[int, int] = {}
-    intern_authors: dict[tuple[str, ...], tuple[str, ...]] = {}
-    # Author activity observed in the stream: either to derive careers or to
-    # cross-check supplied ones. Supplied mode packs (author index, year) into
-    # one int key to keep 10M-record corpora inside memory.
-    derived: dict[str, dict[int, int]] = {}
-    observed: dict[int, int] = {}
-    missing_authors: set[str] = set()
+    # author -> year -> records surviving the doc-type filter, out-of-horizon
+    # ones included: derived careers are built from it, supplied ones checked
+    # against it.
+    observed: dict[str, dict[int, int]] = {}
 
     source = str(publications_path)
     gc_was_enabled = gc.isenabled()
@@ -520,44 +518,26 @@ def load_corpus(
                     continue
 
                 year = intern_year.setdefault(year, year)
-                author_key = tuple(authors)
-                author_tuple = intern_authors.get(author_key)
-                if author_tuple is None:
-                    author_tuple = tuple(intern_str.setdefault(a, a) for a in authors)
-                    intern_authors[author_tuple] = author_tuple
-
-                # Careers account for every record surviving the doc-type
-                # filter, including out-of-horizon ones dropped below.
-                if careers is None:
-                    for a in author_tuple:
-                        by_year = derived.get(a)
-                        if by_year is None:
-                            derived[a] = {year: 1}
-                        else:
-                            by_year[year] = by_year.get(year, 0) + 1
-                else:
-                    for a in author_tuple:
-                        idx = career_index.get(a)
-                        if idx is None:
-                            missing_authors.add(a)
-                        else:
-                            key = idx * 10000 + year
-                            observed[key] = observed.get(key, 0) + 1
+                for a in authors:
+                    by_year = observed.get(a)
+                    if by_year is None:
+                        observed[a] = {year: 1}
+                    else:
+                        by_year[year] = by_year.get(year, 0) + 1
 
                 if not y0 <= year <= y1:
                     report.dropped_out_of_horizon += 1
                     continue
 
-                flags_raw = raw.get("topic_flags")
-                if flags_raw is None:
-                    flags = frozenset()
+                flags = raw.get("topic_flags")
+                if flags is None:
+                    flags = ()
                 else:
-                    if type(flags_raw) is not list:
+                    if type(flags) is not list:
                         raise MalformedRecordError(source, line_no, "topic_flags must be a list")
-                    for f in flags_raw:
+                    for f in flags:
                         if type(f) is not str or not f:
                             raise MalformedRecordError(source, line_no, "topic flags must be non-empty strings")
-                    flags = frozenset(flags_raw)
                 title = raw.get("title")
                 abstract = raw.get("abstract")
                 keywords = raw.get("keywords")
@@ -579,7 +559,7 @@ def load_corpus(
                     if not clusters:
                         cluster_id = None  # without cluster metadata no cluster is known
                     elif cluster_id in clusters:
-                        cluster_id = intern_str.setdefault(cluster_id, cluster_id)
+                        cluster_id = clusters[cluster_id].cluster_id
                     else:
                         report.unknown_cluster_count += 1
                         if len(report.unknown_cluster_samples) < _SAMPLE_CAP:
@@ -591,12 +571,12 @@ def load_corpus(
                     and delineate_topic not in flags
                     and _matches(terms, title, abstract, keywords)
                 ):
-                    flags = flags | {delineate_topic}
+                    flags = [*flags, delineate_topic]
                     report.delineated += 1
 
                 for topic, index in indexed:
                     if topic in flags:
-                        index.add(year, author_tuple, cluster_id)
+                        index.add(year, authors, cluster_id)
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
     finally:
@@ -606,35 +586,27 @@ def load_corpus(
     report.publications_loaded = (
         report.publications_parsed - report.dropped_doc_type - report.dropped_out_of_horizon
     )
-    del seen_ids, intern_str, intern_year, intern_authors
+    del seen_ids, intern_year
     for _, index in indexed:
         index.sort_authors()
 
     if careers is None:
-        careers = {}
-        for author_id in derived:
-            by_year = derived[author_id]
-            careers[author_id] = AuthorCareer(author_id, min(by_year), by_year)
+        careers = {a: AuthorCareer(a, min(by_year), by_year) for a, by_year in observed.items()}
     else:
-        if missing_authors:
-            raise MissingCareerError(sorted(missing_authors))
+        missing = [a for a in observed if a not in careers]
+        if missing:
+            raise MissingCareerError(sorted(missing))
         conflicts: list[tuple[str, str]] = []
-        for key in observed:
-            idx, year = divmod(key, 10000)
-            career = career_list[idx]
-            n_seen = observed[key]
-            if year < career.first_year:
-                conflicts.append(
-                    (career.author_id, f"record in {year} precedes yfp {career.first_year}")
-                )
-            elif career.pubs_by_year.get(year, 0) < n_seen:
-                conflicts.append(
-                    (
-                        career.author_id,
-                        f"{n_seen} record(s) in {year} exceed career count "
-                        f"{career.pubs_by_year.get(year, 0)}",
+        for author_id, by_year in observed.items():
+            career = careers[author_id]
+            for year, n_seen in by_year.items():
+                n_supplied = career.pubs_by_year.get(year, 0)
+                if year < career.first_year:
+                    conflicts.append((author_id, f"record in {year} precedes yfp {career.first_year}"))
+                elif n_supplied < n_seen:
+                    conflicts.append(
+                        (author_id, f"{n_seen} record(s) in {year} exceed career count {n_supplied}")
                     )
-                )
         if conflicts:
             conflicts.sort()
             raise CareerConflictError(conflicts)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .cohorts import topic_activity
 from .corpus import Corpus, MissingCareerError
-from .rounding import mean_exact, percent
+from .rounding import _sum_over_lcm, mean_exact, percent
 
 TOTAL_RATIO = "total_ratio"
 MEAN_ANNUAL = "mean_annual"
@@ -141,7 +141,8 @@ class YearIndicatorSummary:
 def _focus_mean_ci(active: list[tuple[AuthorProfile, int, int]]) -> tuple[Fraction, float]:
     """Mean focus 100 * n_topic / n_total over a year's active authors, and its
     95% half-width. Numerators and their squares are summed as ints per career
-    count, so the mean and the sample variance are exact."""
+    count and merged over the lcm of the counts, so the mean and the sample
+    variance are exact."""
     sums: dict[int, int] = {}
     sumsq: dict[int, int] = {}
     for _, n_topic, n_total in active:
@@ -149,11 +150,12 @@ def _focus_mean_ci(active: list[tuple[AuthorProfile, int, int]]) -> tuple[Fracti
         sums[n_total] = sums.get(n_total, 0) + x
         sumsq[n_total] = sumsq.get(n_total, 0) + x * x
     n = len(active)
-    mean = sum((Fraction(x, d) for d, x in sorted(sums.items())), Fraction(0)) / n
+    den, num = _sum_over_lcm(list(sums.items()))
+    mean = Fraction(num, den * n)
     if n < 2:
         return mean, 0.0
-    squares = sum((Fraction(sq, d * d) for d, sq in sorted(sumsq.items())), Fraction(0))
-    var = (squares - n * mean * mean) / (n - 1)
+    den, num = _sum_over_lcm([(d * d, sq) for d, sq in sumsq.items()])
+    var = (Fraction(num, den) - n * mean * mean) / (n - 1)
     return mean, 1.96 * math.sqrt(var / n)
 
 

@@ -136,6 +136,24 @@ def oracle_indexes(publications_path, topics, clusters_path=None, horizon=(2008,
     return out
 
 
+def oracle_careers(publications_path, doc_types=None):
+    """Brute-force per-year record counts of each author in a publications file
+    that loads, after the doc-type filter and before the horizon drop, in the
+    order authors first appear: {author: {year: records}}."""
+    careers = {}
+    with open(publications_path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if doc_types is not None and rec.get("doc_type") not in doc_types:
+                continue
+            for a in rec["authors"]:
+                by_year = careers.setdefault(a, {})
+                by_year[rec["year"]] = by_year.get(rec["year"], 0) + 1
+    return careers
+
+
 # --- cohort oracle ------------------------------------------------------------
 
 

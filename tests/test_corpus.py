@@ -331,6 +331,40 @@ def test_supplied_career_missing_author(tmp_path):
     assert err.value.author_ids == ["a2"]
 
 
+def test_missing_career_outranks_conflicts(tmp_path):
+    rows = [rec("p1", 2010, ["a1", "a3"]), rec("p2", 2012, ["a2"]), rec("p3", 2012, ["a1"])]
+    pubs = write_jsonl(tmp_path / "pubs.jsonl", rows)
+    careers = careers_csv(tmp_path, [("a1", 2012, 2012, 1)])
+    with pytest.raises(MissingCareerError) as err:
+        load_corpus(pubs, careers_path=careers)
+    assert err.value.author_ids == ["a2", "a3"]
+
+
+def test_supplied_career_conflicts_sorted(tmp_path):
+    rows = [
+        rec("p1", 2013, ["a2", "a1"]),
+        rec("p2", 2012, ["a1"]),
+        rec("p3", 2005, ["a1"]),  # before the horizon, still checked
+        rec("p4", 2012, ["a1", "a2"]),
+        rec("p5", 2010, ["a2"]),
+        rec("p6", 2011, ["a2"]),
+        rec("p7", 2011, ["a2"]),
+    ]
+    pubs = write_jsonl(tmp_path / "pubs.jsonl", rows)
+    careers = careers_csv(tmp_path, [("a1", 2006, 2006, 1), ("a1", 2006, 2012, 1),
+                                     ("a2", 2011, 2011, 1), ("a2", 2011, 2012, 1)])
+    with pytest.raises(CareerConflictError) as err:
+        load_corpus(pubs, careers_path=careers)
+    assert err.value.conflicts == [
+        ("a1", "1 record(s) in 2013 exceed career count 0"),
+        ("a1", "2 record(s) in 2012 exceed career count 1"),
+        ("a1", "record in 2005 precedes yfp 2006"),
+        ("a2", "1 record(s) in 2013 exceed career count 0"),
+        ("a2", "2 record(s) in 2011 exceed career count 1"),
+        ("a2", "record in 2010 precedes yfp 2011"),
+    ]
+
+
 def test_supplied_career_undercount(tmp_path):
     rows = [rec("p1", 2012, ["a1"]), rec("p2", 2012, ["a1"])]
     pubs = write_jsonl(tmp_path / "pubs.jsonl", rows)
@@ -493,11 +527,12 @@ def test_load_with_delineation(tmp_path):
         rec("p1", title="A Big Data survey"),
         rec("p2", title="unrelated", authors=["a2"]),
         rec("p3", topic_flags=["bd"], authors=["a3"]),  # already flagged
+        rec("p4", topic_flags=["bd", "bd"], authors=["a4"], title="big data"),
     ]
     path = write_jsonl(tmp_path / "pubs.jsonl", rows)
     corpus = load_corpus(path, delineate_terms=["big data"], delineate_topic="bd", topics=["bd"])
-    # p1 is delineated, p2 is not, p3 was flagged already
-    assert list(corpus.topic_indexes["bd"].counts) == ["a1", "a3"]
+    # p1 is delineated, p2 is not, p3 and p4 were flagged already
+    assert corpus.topic_indexes["bd"].counts == {"a1": {2012: 1}, "a3": {2012: 1}, "a4": {2012: 1}}
     assert corpus.load_report.delineated == 1
 
 

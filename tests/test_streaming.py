@@ -17,7 +17,7 @@ from communitylens.cohorts import cohort_series, topic_activity
 from communitylens.corpus import DEFAULT_HORIZON, load_corpus
 from communitylens.synthgen import GeneratorConfig, generate
 
-from oracles import oracle_indexes
+from oracles import oracle_careers, oracle_indexes
 
 
 def assert_indexes_match(corpus, topics, path, clusters_path=None, **kwargs):
@@ -40,10 +40,16 @@ def assert_same_load(unindexed, indexed):
 
 
 def load_checked(path, topics, careers=None, clusters=None, horizon=DEFAULT_HORIZON, **kwargs):
-    """Load with and without ``topics``; check the indexes against the oracle."""
+    """Load with and without ``topics``; check the indexes, and derived careers,
+    against the oracles."""
     corpus = load_corpus(path, careers, clusters, horizon, topics=topics, **kwargs)
     assert_same_load(load_corpus(path, careers, clusters, horizon, **kwargs), corpus)
     assert_indexes_match(corpus, topics, path, clusters, **kwargs)
+    if careers is None:
+        expected = oracle_careers(path, kwargs.get("doc_types"))
+        assert [(a, c.first_year, c.pubs_by_year) for a, c in corpus.careers.items()] == [
+            (a, min(by_year), by_year) for a, by_year in expected.items()
+        ]
     return corpus
 
 
@@ -55,9 +61,14 @@ def test_bd2012(bd2012_paths):
 
 def mixed_copy(base, seed):
     """Rewrite a synthgen corpus: second topics, coauthors, text, doc types,
-    pre-horizon years and unknown cluster ids. Careers must then be derived."""
+    pre-horizon years and unknown cluster ids. Careers must then be derived.
+
+    Coauthor teams come in three kinds: one extra author drawn from earlier
+    records, an earlier record's team in reversed order, and a 3-8 author team
+    that never repeats (it holds one author of its own)."""
     rng = random.Random(seed)
     authors = []
+    teams = []
     lines = []
     for line in (base / "publications.jsonl").read_text(encoding="utf-8").splitlines():
         rec = json.loads(line)
@@ -67,8 +78,17 @@ def mixed_copy(base, seed):
             rec["topic_flags"] = ["beta"]
         elif roll < 0.4:
             rec["topic_flags"].append("beta")
-        if rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.3:
             rec["authors"] = list(dict.fromkeys(rec["authors"] + rng.sample(authors, 1)))
+        elif roll < 0.4 and teams:
+            rec["authors"] = rng.choice(teams)[::-1]
+        elif roll < 0.5:
+            pool = list(dict.fromkeys(authors))
+            size = rng.randint(3, 8)
+            co = rng.sample(pool, min(size - 1, len(pool)))
+            rec["authors"] = [f"{rec['pub_id']}-co", *co]
+        teams.append(rec["authors"])
         if rng.random() < 0.1:
             rec["year"] = 2005
         if rng.random() < 0.1:
