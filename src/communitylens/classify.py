@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -37,12 +38,7 @@ PROMOTE = "promote"
 STRICT = "strict"
 INCLUSIVE = "inclusive"
 
-_RULES = {
-    "promote": PROMOTE,
-    "nearest_rank_promote": PROMOTE,
-    "strict": STRICT,
-    "inclusive": INCLUSIVE,
-}
+RULES = (PROMOTE, STRICT, INCLUSIVE)
 
 
 class DegenerateDistributionError(Exception):
@@ -56,11 +52,9 @@ class DegenerateDistributionError(Exception):
         self.value = value
 
 
-def normalize_rule(value: str) -> str:
-    try:
-        return _RULES[value]
-    except KeyError:
-        raise ValueError(f"threshold rule must be one of {sorted(_RULES)}, got {value!r}") from None
+def check_rule(value: str) -> None:
+    if value not in RULES:
+        raise ValueError(f"threshold rule must be one of {list(RULES)}, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -143,7 +137,7 @@ def resolve_thresholds(
     """Resolve both cutoffs over the author distribution."""
     if not profiles:
         raise ValueError("cannot resolve thresholds without profiles")
-    rule = normalize_rule(rule)
+    check_rule(rule)
     items = list(profiles.values())
     production = _resolve_one([p.production_total for p in items], "production", rule)
     focus = _resolve_one([p.focus_overall for p in items], "focus", rule)
@@ -216,14 +210,9 @@ def classify_authors(
 
     by_area: dict[str, GroupShares] | None = None
     if corpus is not None and corpus.clusters and index is not None:
-        area_counts: dict[str, dict[str, int]] = {}
-        by_group = {a.author_id: a.group for a in assignments}
-        for author_id, cluster_ids in index.clusters.items():
-            group = by_group[author_id]
-            for area in {corpus.clusters[c].area for c in cluster_ids}:
-                area_counts.setdefault(area, {g: 0 for g in GROUPS})[group] += 1
-        by_area = {
-            area: GroupShares(total=sum(c.values()), counts=c)
-            for area, c in sorted(area_counts.items())
-        }
+        group_of = {a.author_id: a.group for a in assignments}
+        by_area = {}
+        for area, authors in sorted(index.area_authors(corpus.clusters).items()):
+            tally = Counter(map(group_of.__getitem__, authors))
+            by_area[area] = GroupShares(total=len(authors), counts={g: tally[g] for g in GROUPS})
     return ClassificationResult(thresholds, assignments, community, by_area)

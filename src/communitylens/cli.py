@@ -21,11 +21,12 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .classify import DegenerateDistributionError, classify_authors, resolve_thresholds
-from .cohorts import TopicIndex, UnknownTopicError, cohort_series, topic_activity
+from .classify import RULES, DegenerateDistributionError, classify_authors, resolve_thresholds
+from .cohorts import STAY_DENOMINATORS, TopicIndex, UnknownTopicError, cohort_series, topic_activity
 from .compare import compare, comparison_files
 from .corpus import Corpus, CorpusError, load_corpus
 from .indicators import (
+    FOCUS_MODES,
     AuthorProfile,
     CareerDataError,
     author_profiles,
@@ -34,6 +35,7 @@ from .indicators import (
 )
 from .overlay import area_rollup, cluster_overlay
 from .reports import (
+    COLOR_METRICS,
     atomic_write_text,
     build_manifest,
     emit_areas_csv,
@@ -167,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--horizon", type=_horizon, default="2008:2017", metavar="Y0:Y1")
     common.add_argument("--window", type=_positive_int, default=2, metavar="N",
                         help="stay window in years (default 2)")
-    common.add_argument("--stay-denominator", choices=["new", "all"], default="new")
+    common.add_argument("--stay-denominator", choices=STAY_DENOMINATORS, default="new")
     common.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                         help="accepted for forward compatibility; changes nothing yet")
     common.add_argument("--out", metavar="DIR")
@@ -175,9 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--doc-types", metavar="A,B", help="keep only these doc_type values")
     common.add_argument("--terms", metavar="T1,T2",
                         help="delineate --topic by matching these phrases")
-    common.add_argument("--threshold-rule", choices=["promote", "strict", "inclusive"],
-                        default="promote")
-    common.add_argument("--focus-mode", choices=["total", "annual"], default="total")
+    common.add_argument("--threshold-rule", choices=RULES, default="promote")
+    common.add_argument("--focus-mode", choices=FOCUS_MODES, default="total")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     sub.add_parser("validate", parents=[common],
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common], help="quadrant classification")
 
     overlay_p = sub.add_parser("overlay", parents=[common], help="cluster overlay and area rollups")
-    overlay_p.add_argument("--color-metric", choices=["p_au", "p_stay"], default="p_au")
+    overlay_p.add_argument("--color-metric", choices=COLOR_METRICS, default="p_au")
     overlay_p.add_argument("--map-format", choices=["csv", "json"], default="csv")
 
     compare_p = sub.add_parser("compare", parents=[common], help="two-community comparison")
@@ -331,9 +332,9 @@ def _overlay_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
                    profiles: Profiles) -> dict[str, str]:
     if not corpus.clusters:  # the file loaded, so it is a header without rows
         raise CorpusError(f"{args.clusters}: no cluster rows; overlays need cluster metadata")
-    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator)
-    overlay_rows = cluster_overlay(corpus, index, profiles, rows)
-    rollups = area_rollup(overlay_rows, index=index, profiles=profiles, cohort_rows=rows)
+    overlay_rows = cluster_overlay(corpus, index, profiles, args.window)
+    rollups = area_rollup(overlay_rows, corpus=corpus, index=index, profiles=profiles,
+                          stay_window=args.window)
     if args.map_format == "json":
         map_name, map_text = "map.json", emit_map_json(overlay_rows, args.color_metric)
     else:

@@ -16,19 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .corpus import Corpus, MissingCareerError, TopicIndex
 from .rounding import percent
 
-NEW_AUTHORS = "new_authors"
-ALL_AUTHORS = "all_authors"
-
-_DENOMINATORS = {
-    "new": NEW_AUTHORS,
-    "new_authors": NEW_AUTHORS,
-    "all": ALL_AUTHORS,
-    "all_authors": ALL_AUTHORS,
-}
+NEW_AUTHORS = "new"
+ALL_AUTHORS = "all"
+STAY_DENOMINATORS = (NEW_AUTHORS, ALL_AUTHORS)
 
 
 class UnknownTopicError(ValueError):
@@ -37,11 +32,27 @@ class UnknownTopicError(ValueError):
         self.topic = topic
 
 
-def normalize_denominator(value: str) -> str:
-    try:
-        return _DENOMINATORS[value]
-    except KeyError:
-        raise ValueError(f"stay_denominator must be one of {sorted(_DENOMINATORS)}, got {value!r}") from None
+def check_denominator(value: str) -> None:
+    if value not in STAY_DENOMINATORS:
+        raise ValueError(f"stay_denominator must be one of {list(STAY_DENOMINATORS)}, got {value!r}")
+
+
+def check_stay_window(stay_window: int) -> None:
+    if stay_window < 1:
+        raise ValueError(f"stay_window must be >= 1, got {stay_window}")
+
+
+def stays(topic_years: Iterable[int], entry: int, stay_window: int, horizon_end: int) -> bool | None:
+    """Whether an author entering the topic in `entry` stayed: published on it
+    again within (entry, entry + stay_window]. None while undetermined, when
+    that window runs past the horizon end."""
+    last = entry + stay_window
+    if last > horizon_end:
+        return None
+    for t in topic_years:  # a plain loop: a generator costs more than the test
+        if entry < t <= last:
+            return True
+    return False
 
 
 @dataclass(slots=True)
@@ -97,7 +108,8 @@ class YearCohorts:
         """Stayer share; None while undetermined, 0 on an empty denominator."""
         if self.stayers is None:
             return None
-        denom = normalize_denominator(denominator or self.stay_denominator)
+        denom = denominator or self.stay_denominator
+        check_denominator(denom)
         base = self.n_new if denom == NEW_AUTHORS else self.n_all
         return percent(len(self.stayers), base)
 
@@ -159,9 +171,7 @@ def _build_year_sets(
             all_by_year[y].add(author)
             if y > entry:
                 old_by_year[y].add(author)
-        if entry + stay_window <= y1 and any(
-            entry < t <= entry + stay_window for t in active_years[1:]
-        ):
+        if stays(active_years, entry, stay_window, y1):
             stay_by_year[entry].add(author)
 
     if missing:
@@ -196,9 +206,8 @@ def cohort_series(
     A topic with no publications yields all-empty rows rather than an error,
     so series emission stays total.
     """
-    if stay_window < 1:
-        raise ValueError(f"stay_window must be >= 1, got {stay_window}")
-    stay_denominator = normalize_denominator(stay_denominator)
+    check_stay_window(stay_window)
+    check_denominator(stay_denominator)
     index = topic_activity(corpus, topic)
     return _build_year_sets(corpus, index, stay_window, stay_denominator)
 
@@ -214,11 +223,7 @@ def year_cohorts(
     y0, y1 = corpus.horizon
     if not y0 <= year <= y1:
         raise ValueError(f"year {year} outside horizon {y0}:{y1}")
-    if stay_window < 1:
-        raise ValueError(f"stay_window must be >= 1, got {stay_window}")
-    stay_denominator = normalize_denominator(stay_denominator)
-    index = topic_activity(corpus, topic)
-    if not index:
+    rows = cohort_series(corpus, topic, stay_window, stay_denominator)
+    if not topic_activity(corpus, topic):
         raise UnknownTopicError(topic)
-    rows = _build_year_sets(corpus, index, stay_window, stay_denominator)
     return rows[year - y0]

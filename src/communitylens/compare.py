@@ -13,21 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import (
+    PROMOTE,
     ClassificationResult,
     DegenerateDistributionError,
     QuadrantThresholds,
+    check_rule,
     classify_authors,
     resolve_thresholds,
-    normalize_rule,
-    PROMOTE,
 )
 from .cohorts import (
     NEW_AUTHORS,
     TopicIndex,
     UnknownTopicError,
     YearCohorts,
+    check_denominator,
     cohort_series,
-    normalize_denominator,
     topic_activity,
 )
 from .corpus import Corpus
@@ -37,7 +37,7 @@ from .indicators import (
     ProductionBand,
     YearIndicatorSummary,
     author_profiles,
-    normalize_focus_mode,
+    check_focus_mode,
     production_bands,
     year_summaries,
 )
@@ -123,9 +123,9 @@ def compare(
     Each corpus must have indexed the topic it serves (load_corpus's
     ``topics``); a same-corpus comparison indexes both in one load.
     """
-    stay_denominator = normalize_denominator(stay_denominator)
-    threshold_rule = normalize_rule(threshold_rule)
-    focus_mode = normalize_focus_mode(focus_mode)
+    check_denominator(stay_denominator)
+    check_rule(threshold_rule)
+    check_focus_mode(focus_mode)
     other = corpus_b if corpus_b is not None else corpus
     side_a = _build_side(corpus, topic_a, stay_window, stay_denominator, focus_mode)
     side_b = _build_side(other, topic_b, stay_window, stay_denominator, focus_mode)

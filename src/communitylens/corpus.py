@@ -29,7 +29,11 @@ Loading is the only corpus check. Every defect (undecodable or malformed
 line, duplicate pub_id, missing or conflicting career) raises a CorpusError
 that names the file and line, or the authors concerned; what the load
 dropped or repaired is counted in its LoadReport. A Corpus that loaded is
-therefore consistent, and nothing re-checks it.
+therefore consistent. A Corpus can also be built by hand from its parts, with
+nothing checked; for that case cohort_series() and author_profiles() still
+raise MissingCareerError for a topic author without a career, and
+author_profiles() raises CareerDataError for a career that undercounts a
+topic year.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -197,6 +201,15 @@ class TopicIndex:
                     self.clusters[author] = {cluster_id}
                 else:
                     member_of.add(cluster_id)
+
+    def area_authors(self, clusters: Mapping[str, ClusterMeta]) -> dict[str, set[str]]:
+        """Authors with a topic publication in each area's clusters, for the
+        areas that have one. An author counts once per area."""
+        members: dict[str, set[str]] = {meta.area: set() for meta in clusters.values()}
+        for author, cluster_ids in self.clusters.items():
+            for cluster_id in cluster_ids:
+                members[clusters[cluster_id].area].add(author)
+        return {area: authors for area, authors in members.items() if authors}
 
     def sort_authors(self) -> TopicIndex:
         """Order counts by author_id once the last publication is added."""

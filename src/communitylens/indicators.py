@@ -22,15 +22,9 @@ from .cohorts import topic_activity
 from .corpus import Corpus, MissingCareerError
 from .rounding import _sum_over_lcm, mean_exact, percent
 
-TOTAL_RATIO = "total_ratio"
-MEAN_ANNUAL = "mean_annual"
-
-_FOCUS_MODES = {
-    "total": TOTAL_RATIO,
-    "total_ratio": TOTAL_RATIO,
-    "annual": MEAN_ANNUAL,
-    "mean_annual": MEAN_ANNUAL,
-}
+TOTAL_RATIO = "total"
+MEAN_ANNUAL = "annual"
+FOCUS_MODES = (TOTAL_RATIO, MEAN_ANNUAL)
 
 #: Production bands: (label, low, high); high None = unbounded.
 BANDS = (("1", 1, 1), ("2", 2, 2), ("3-5", 3, 5), ("6-10", 6, 10), (">10", 11, None))
@@ -40,11 +34,9 @@ class CareerDataError(Exception):
     """Career data cannot support the requested indicator (surfaced, not patched)."""
 
 
-def normalize_focus_mode(value: str) -> str:
-    try:
-        return _FOCUS_MODES[value]
-    except KeyError:
-        raise ValueError(f"focus mode must be one of {sorted(_FOCUS_MODES)}, got {value!r}") from None
+def check_focus_mode(value: str) -> None:
+    if value not in FOCUS_MODES:
+        raise ValueError(f"focus mode must be one of {list(FOCUS_MODES)}, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -74,7 +66,7 @@ def author_profiles(
     Raises MissingCareerError / CareerDataError when the career file lacks an
     author or undercounts a year in which they have topic output.
     """
-    focus_mode = normalize_focus_mode(focus_mode)
+    check_focus_mode(focus_mode)
     index = topic_activity(corpus, topic)
     y0, y1 = corpus.horizon
     careers = corpus.careers

@@ -5,11 +5,12 @@ clusters contributes to all k rows. Area rollups deduplicate within an area
 (an author counts once per area however many of its clusters they touch) and
 report both conventions side by side.
 
-The stayer share of a cluster pools entry years from the horizon start
-through H = horizon_end - stay_window: among the cluster's topic authors
-entering by H, the percentage who are community-level stayers. Entry and
-stayer status are community facts; the cluster only scopes whose entries are
-pooled.
+Both take the topic index, the author profiles and the stay window. The
+stayer share of a cluster pools entry years from the horizon start through
+H = horizon_end - stay_window: among the cluster's topic authors entering by
+H, the percentage who stayed, by the community-level rule cohorts.stays().
+Entry and stayer status are community facts; the cluster only scopes whose
+entries are pooled.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohorts import TopicIndex, YearCohorts
-from .corpus import Corpus
+from .cohorts import check_stay_window, stays
+from .corpus import Corpus, TopicIndex
 from .indicators import AuthorProfile
 from .rounding import mean_exact, percent
 
@@ -61,37 +62,38 @@ class AreaRollup:
     top_cluster_p_au: Fraction | None
 
 
-def _stay_context(cohort_rows: list[YearCohorts]) -> tuple[int, frozenset[str]]:
-    """Last determined entry year H and the union of all determined stayers."""
-    determined = [row for row in cohort_rows if row.stay_determined]
-    if not determined:
-        return (min(r.year for r in cohort_rows) - 1, frozenset())
-    stayers: set[str] = set()
-    for row in determined:
-        stayers.update(row.stayers)  # type: ignore[arg-type]
-    return (max(r.year for r in determined), frozenset(stayers))
+def _stay_status(
+    index: TopicIndex, profiles: dict[str, AuthorProfile], stay_window: int, horizon_end: int
+) -> dict[str, bool | None]:
+    """stays() of every author with a clustered topic publication."""
+    check_stay_window(stay_window)
+    status = {}
+    for author in index.clusters:
+        p = profiles[author]
+        status[author] = stays(p.topic_counts, p.entry_year, stay_window, horizon_end)
+    return status
 
 
-def _pooled_stay(group: list[AuthorProfile], context: tuple[int, frozenset[str]]) -> Fraction | None:
-    """Percentage of the group's authors entering by H who are stayers; None
-    when none entered by H."""
-    last_entry, stayers = context
-    eligible = [p.author_id for p in group if p.entry_year <= last_entry]
+def _pooled_stay(group: list[AuthorProfile], status: dict[str, bool | None]) -> Fraction | None:
+    """Percentage of the group's authors entering by H who stayed; None when
+    none entered by H."""
+    decided = [status[p.author_id] for p in group]
+    eligible = len(decided) - decided.count(None)
     if not eligible:
         return None
-    return percent(sum(a in stayers for a in eligible), len(eligible))
+    return percent(decided.count(True), eligible)
 
 
 def cluster_overlay(
     corpus: Corpus,
     index: TopicIndex,
     profiles: dict[str, AuthorProfile],
-    cohort_rows: list[YearCohorts],
+    stay_window: int,
 ) -> list[ClusterOverlayRow]:
     """One row per cluster holding at least one clustered topic publication."""
     if not corpus.clusters:
         raise ValueError("cluster metadata is required for overlays")
-    stay = _stay_context(cohort_rows)
+    status = _stay_status(index, profiles, stay_window, corpus.horizon[1])
     members: dict[str, list[AuthorProfile]] = {}
     for author, cluster_ids in index.clusters.items():
         for cluster_id in cluster_ids:
@@ -122,7 +124,7 @@ def cluster_overlay(
                 n_topic_authors=n,
                 total_authors=meta.total_authors,
                 p_au=p_au,
-                p_stay=_pooled_stay(group, stay),
+                p_stay=_pooled_stay(group, status),
                 mean_first_year=mean_exact(p.first_year for p in group),
                 mean_entry_year=mean_exact(p.entry_year for p in group),
                 mean_production=mean_exact(p.production_total for p in group),
@@ -136,22 +138,17 @@ def cluster_overlay(
 def area_rollup(
     overlay_rows: list[ClusterOverlayRow],
     *,
+    corpus: Corpus,
     index: TopicIndex,
     profiles: dict[str, AuthorProfile],
-    cohort_rows: list[YearCohorts],
+    stay_window: int,
 ) -> list[AreaRollup]:
     """Aggregate overlay rows per research area (deduplicating authors)."""
-    stay = _stay_context(cohort_rows)
+    status = _stay_status(index, profiles, stay_window, corpus.horizon[1])
     area_rows: dict[str, list[ClusterOverlayRow]] = {}
     for row in overlay_rows:
         area_rows.setdefault(row.area, []).append(row)
-    area_of = {row.cluster_id: row.area for row in overlay_rows}
-    area_authors: dict[str, set[str]] = {area: set() for area in area_rows}
-    for author, cluster_ids in index.clusters.items():
-        for cluster_id in cluster_ids:
-            area = area_of.get(cluster_id)
-            if area is not None:
-                area_authors[area].add(author)
+    area_authors = index.area_authors(corpus.clusters)
     rollups = []
     for area in sorted(area_rows):
         rows = area_rows[area]
@@ -167,7 +164,7 @@ def area_rollup(
                 n_authors_full=sum(r.n_topic_authors for r in rows),
                 avg_p_au=mean_exact(r.p_au for r in candidates),
                 avg_p_stay=mean_exact(r.p_stay for r in rows if r.p_stay is not None),
-                pooled_p_stay=_pooled_stay(group, stay),
+                pooled_p_stay=_pooled_stay(group, status),
                 mean_first_year=mean_exact(p.first_year for p in group),
                 mean_entry_year=mean_exact(p.entry_year for p in group),
                 mean_lag=mean_exact(p.entry_lag for p in group),

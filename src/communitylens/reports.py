@@ -27,9 +27,11 @@ from . import __version__
 from .classify import GROUPS, ClassificationResult
 from .cohorts import ALL_AUTHORS, NEW_AUTHORS, YearCohorts
 from .indicators import ProductionBand, YearIndicatorSummary
-from .rounding import format_fixed, round_half_up
+from .rounding import format_fixed
 
 Columns = tuple[tuple[str, Callable[[object], object]], ...]
+
+COLOR_METRICS = ("p_au", "p_stay")
 
 
 def cell(value) -> str:
@@ -217,8 +219,8 @@ def emit_areas_csv(rollups: Iterable, *, raw: bool = False) -> str:
 
 
 def _color(metric: str) -> Callable:
-    if metric not in ("p_au", "p_stay"):
-        raise ValueError(f"color metric must be p_au or p_stay, got {metric!r}")
+    if metric not in COLOR_METRICS:
+        raise ValueError(f"color metric must be one of {list(COLOR_METRICS)}, got {metric!r}")
     return attrgetter(metric)
 
 
@@ -242,7 +244,7 @@ def emit_map_json(rows: Iterable, color_metric: str = "p_au") -> str:
                 "x": r.x,
                 "y": r.y,
                 "size": r.n_topic_authors,
-                "color": None if color is None else float(round_half_up(color, 1)),
+                "color": None if color is None else float(format_fixed(color, 1)),
             }
         )
     return json.dumps(out, indent=2) + "\n"

@@ -14,22 +14,9 @@ from typing import Iterable
 Rational = int | Fraction
 
 
-def round_half_up(value: Rational, digits: int = 1) -> Fraction:
-    """Round an exact rational to `digits` decimals, ties away from zero."""
-    scale = 10**digits
-    scaled = Fraction(value) * scale
-    whole, rem = divmod(scaled.numerator, scaled.denominator)
-    # divmod floors, so rem is nonnegative; recheck ties from the floor side
-    if 2 * rem >= scaled.denominator:
-        whole += 1
-    if value < 0 and 2 * rem == scaled.denominator:
-        whole -= 1  # floor already moved past zero; ties go away from zero
-    return Fraction(whole, scale)
-
-
 def format_fixed(value: Rational, digits: int = 1) -> str:
-    """Format an exact rational with exactly `digits` decimals, rounded as
-    round_half_up does; integer arithmetic only, since every report cell
+    """Format an exact rational with exactly `digits` decimals, rounded half-up
+    (ties away from zero); integer arithmetic only, since every report cell
     passes through here."""
     scaled = value.numerator * 10**digits
     units, rem = divmod(abs(scaled), value.denominator)

@@ -200,7 +200,7 @@ def oracle_year_cohorts(pubs, careers, topic, year, window, horizon):
 # --- profile oracle -----------------------------------------------------------
 
 
-def oracle_profiles(pubs, careers, topic, horizon, focus_mode="total_ratio"):
+def oracle_profiles(pubs, careers, topic, horizon, focus_mode="total"):
     y0, y1 = horizon
 
     def on_topic(p):
@@ -222,7 +222,7 @@ def oracle_profiles(pubs, careers, topic, horizon, focus_mode="total_ratio"):
         }
         production = sum(counts.values())
         career_total = sum(n for y, n in career["counts"].items() if y0 <= y <= y1)
-        if focus_mode == "total_ratio":
+        if focus_mode == "total":
             overall = Fraction(100 * production, career_total)
         else:
             vals = list(focus_by_year.values())
@@ -278,6 +278,31 @@ def oracle_classify(profiles_oracle, rule="promote"):
         else:
             groups[a] = "incidental"
     return {"production_cutoff": p_cut, "focus_cutoff": f_cut, "groups": groups}
+
+
+def oracle_area_shares(pubs, clusters, topic, horizon, groups):
+    """Per-area group counts: an author counts once in each area holding one of
+    their clustered topic publications. groups maps author -> group name.
+    Returns {area: (total, {group: count})}."""
+    y0, y1 = horizon
+    areas = sorted({c["area"] for c in clusters.values()})
+    out = {}
+    for area in areas:
+        members = set()
+        for a in groups:
+            for p in pubs:
+                if (topic in p["topics"] and y0 <= p["year"] <= y1 and a in p["authors"]
+                        and p["cluster_id"] in clusters
+                        and clusters[p["cluster_id"]]["area"] == area):
+                    members.add(a)
+                    break
+        if not members:
+            continue
+        counts = {g: 0 for g in ("specialist", "interested", "casual", "incidental")}
+        for a in members:
+            counts[groups[a]] += 1
+        out[area] = (len(members), counts)
+    return out
 
 
 # --- overlay oracle -------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_criterion_4_oracle_equivalence():
                 groups = {a.author_id: a.group for a in result.assignments}
                 assert groups == want_quadrants["groups"]
 
-        overlay = {r.cluster_id: r for r in cluster_overlay(corpus, topic_activity(corpus, topic), profiles, rows)}
+        overlay = {r.cluster_id: r for r in cluster_overlay(corpus, topic_activity(corpus, topic), profiles, window)}
         want_overlay = oracle_overlay(
             raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window
         )
@@ -203,7 +203,7 @@ def test_criterion_5_invariant_suite():
             emit_indicators_csv(year_summaries(corpus, "alpha"), raw=True),
             emit_bands_csv(production_bands(profiles), raw=True),
         ]
-        overlay = cluster_overlay(corpus, topic_activity(corpus, "alpha"), profiles, rows)
+        overlay = cluster_overlay(corpus, topic_activity(corpus, "alpha"), profiles, 2)
         parts.append(emit_overlay_csv(overlay, raw=True))
         parts.append(emit_map_csv(overlay, "p_au"))
         return "".join(parts)

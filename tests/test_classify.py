@@ -12,8 +12,8 @@ from communitylens.classify import (
     STRICT,
     DegenerateDistributionError,
     assign_group,
+    check_rule,
     classify_authors,
-    normalize_rule,
     resolve_thresholds,
 )
 from communitylens.cohorts import topic_activity
@@ -22,6 +22,7 @@ from communitylens.indicators import AuthorProfile, author_profiles
 from oracles import (
     TOPICS,
     make_corpus,
+    oracle_area_shares,
     oracle_classify,
     oracle_cutoff,
     oracle_profiles,
@@ -162,10 +163,11 @@ def test_empty_profiles_rejected():
 
 
 def test_rule_normalization():
-    assert normalize_rule("promote") == PROMOTE
-    assert normalize_rule("nearest_rank_promote") == PROMOTE
-    with pytest.raises(ValueError):
-        normalize_rule("median")
+    assert PROMOTE == "promote"  # the CLI spelling
+    check_rule("promote")
+    for alias in ("nearest_rank_promote", "median"):
+        with pytest.raises(ValueError):
+            check_rule(alias)
 
 
 def test_strict_vs_inclusive():
@@ -273,6 +275,32 @@ def test_classification_matches_oracle_on_random_corpora():
             result = classify_authors(profiles, t)
             got_groups = {a.author_id: a.group for a in result.assignments}
             assert got_groups == want["groups"]
+            checked += 1
+    assert checked > 20
+
+
+def test_area_shares_match_oracle_on_random_corpora():
+    rng = random.Random(61_417)
+    checked = 0
+    for _ in range(40):
+        pubs, careers, clusters = random_raw_corpus(rng, max_pubs=60)
+        if not clusters:
+            continue
+        corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
+        raw_pubs, raw_careers, raw_clusters = raw_corpus(pubs, careers, clusters)
+        for topic in TOPICS:
+            want_profiles = oracle_profiles(raw_pubs, raw_careers, topic, corpus.horizon)
+            want = oracle_classify(want_profiles) if want_profiles else None
+            if want is None:
+                continue
+            profiles = author_profiles(corpus, topic)
+            result = classify_authors(profiles, resolve_thresholds(profiles), corpus=corpus,
+                                      index=topic_activity(corpus, topic))
+            want_areas = oracle_area_shares(
+                raw_pubs, raw_clusters, topic, corpus.horizon, want["groups"]
+            )
+            assert list(result.by_area) == sorted(want_areas)
+            assert {area: (s.total, s.counts) for area, s in result.by_area.items()} == want_areas
             checked += 1
     assert checked > 20
 

@@ -271,7 +271,7 @@ def test_random_corpora_sides_equal_direct_runs():
             try:
                 report = compare(
                     corpus, "alpha", "beta", stay_denominator=denom,
-                    focus_mode="mean_annual", threshold_rule="inclusive",
+                    focus_mode="annual", threshold_rule="inclusive",
                 )
             except UnknownTopicError:
                 continue
@@ -280,7 +280,7 @@ def test_random_corpora_sides_equal_direct_runs():
                     corpus, topic, stay_window=2, stay_denominator=denom
                 )
                 assert side.profiles == author_profiles(
-                    corpus, topic, focus_mode="mean_annual"
+                    corpus, topic, focus_mode="annual"
                 )
             checked += 1
     assert checked > 20

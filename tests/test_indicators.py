@@ -12,7 +12,7 @@ from communitylens.indicators import (
     TOTAL_RATIO,
     CareerDataError,
     author_profiles,
-    normalize_focus_mode,
+    check_focus_mode,
     production_bands,
     year_summaries,
 )
@@ -46,10 +46,12 @@ def test_focus_modes_differ():
 
 
 def test_focus_mode_aliases():
-    assert normalize_focus_mode("total") == TOTAL_RATIO
-    assert normalize_focus_mode("annual") == MEAN_ANNUAL
-    with pytest.raises(ValueError):
-        normalize_focus_mode("median")
+    assert (TOTAL_RATIO, MEAN_ANNUAL) == ("total", "annual")  # the CLI spellings
+    check_focus_mode("total")
+    check_focus_mode("annual")
+    for alias in ("total_ratio", "mean_annual", "median"):
+        with pytest.raises(ValueError):
+            check_focus_mode(alias)
 
 
 def test_career_undercount_rejected():
@@ -201,10 +203,7 @@ def test_profiles_match_oracle_on_random_corpora():
         raw_pubs, raw_careers, _ = raw_corpus(pubs, careers, clusters)
         for mode in (TOTAL_RATIO, MEAN_ANNUAL):
             got = author_profiles(corpus, "alpha", focus_mode=mode)
-            want = oracle_profiles(
-                raw_pubs, raw_careers, "alpha", corpus.horizon,
-                focus_mode="total_ratio" if mode == TOTAL_RATIO else "mean_annual",
-            )
+            want = oracle_profiles(raw_pubs, raw_careers, "alpha", corpus.horizon, focus_mode=mode)
             assert set(got) == set(want)
             for a, w in want.items():
                 p = got[a]

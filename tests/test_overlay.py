@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import logging
 import random
@@ -6,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from communitylens.cohorts import cohort_series, topic_activity
+from communitylens.cli import main
+from communitylens.cohorts import topic_activity
 from communitylens.indicators import author_profiles
 from communitylens.overlay import ClusterOverlayRow, area_rollup, cluster_overlay
 from communitylens.reports import emit_map_csv, emit_map_json
+from communitylens.synthgen import GeneratorConfig, generate
 
 from oracles import (
     AREAS,
@@ -27,9 +31,9 @@ MATHS = "Mathematics & Computer Science"
 def overlay_pipeline(corpus, topic="bd", window=2):
     index = topic_activity(corpus, topic)
     profiles = author_profiles(corpus, topic)
-    rows = cohort_series(corpus, topic, stay_window=window)
-    overlay = cluster_overlay(corpus, index, profiles, rows)
-    areas = area_rollup(overlay, index=index, profiles=profiles, cohort_rows=rows)
+    overlay = cluster_overlay(corpus, index, profiles, window)
+    areas = area_rollup(overlay, corpus=corpus, index=index, profiles=profiles,
+                        stay_window=window)
     return overlay, areas
 
 
@@ -152,11 +156,29 @@ def test_cluster_without_topic_publications_absent():
     assert [r.cluster_id for r in overlay] == ["k1"]
 
 
+def test_overlay_run_builds_no_cohort_series(tmp_path, monkeypatch):
+    # stay status comes from the profiles, so an overlay run needs no cohort rows
+    data = tmp_path / "data"
+    generate(GeneratorConfig(seed=3, authors_per_year={y: 20 for y in range(2008, 2018)},
+                             n_clusters=4, n_areas=2, topic="t"), data)
+    calls = []
+    for name in ("communitylens.cli", "communitylens.cohorts", "communitylens.overlay"):
+        module = importlib.import_module(name)
+        if hasattr(module, "cohort_series"):
+            monkeypatch.setattr(module, "cohort_series",
+                                lambda *a, _real=module.cohort_series, **k:
+                                calls.append(a) or _real(*a, **k))
+    assert main(["overlay", "--corpus", str(data / "publications.jsonl"),
+                 "--careers", str(data / "careers.csv"), "--clusters", str(data / "clusters.csv"),
+                 "--topic", "t", "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "areas.csv").exists()
+    assert calls == []
+
+
 def test_overlay_requires_metadata(bd2012_corpus):
     profiles = author_profiles(bd2012_corpus, "big data")
-    rows = cohort_series(bd2012_corpus, "big data")
     with pytest.raises(ValueError):
-        cluster_overlay(bd2012_corpus, topic_activity(bd2012_corpus, "big data"), profiles, rows)
+        cluster_overlay(bd2012_corpus, topic_activity(bd2012_corpus, "big data"), profiles, 2)
 
 
 def test_p_stay_pools_eligible_entries():
@@ -256,6 +278,27 @@ def test_emit_map_json():
     ]
 
 
+def test_emit_map_json_rounds_ties_half_up():
+    # float rounding would give 12.2 and 0.1 for the first two: round(12.25, 1) == 12.2
+    colors = [Fraction(49, 4), Fraction(3, 20), Fraction(1, 20), Fraction(1249, 100),
+              Fraction(100), None]
+    rows = [
+        ClusterOverlayRow(
+            cluster_id=f"k{i}", label="c", area=MATHS, x=None, y=None, n_topic_authors=1,
+            total_authors=100, p_au=color, p_stay=None, mean_first_year=None,
+            mean_entry_year=None, mean_production=None, mean_focus=None,
+            metadata_conflict=False,
+        )
+        for i, color in enumerate(colors)
+    ]
+    assert [d["color"] for d in json.loads(emit_map_json(rows))] == [
+        12.3, 0.2, 0.1, 12.5, 100.0, None
+    ]
+    assert [line.rsplit(",", 1)[1] for line in emit_map_csv(rows).splitlines()[1:]] == [
+        "12.3", "0.2", "0.1", "12.5", "100.0", ""
+    ]
+
+
 def test_emit_map_empty_overlay():
     assert emit_map_csv([]) == "cluster_id,label,area,x,y,size,color\n"
     assert emit_map_json([]) == "[]\n"
@@ -298,13 +341,11 @@ def test_overlay_matches_oracle_on_random_corpora():
             continue
         corpus = make_corpus(pubs, careers, clusters, topics=TOPICS)
         raw_pubs, raw_careers, raw_clusters = raw_corpus(pubs, careers, clusters)
-        for topic in ("alpha", "beta"):
-            index = topic_activity(corpus, topic)
-            profiles = author_profiles(corpus, topic)
-            rows = cohort_series(corpus, topic, stay_window=2)
-            overlay = cluster_overlay(corpus, index, profiles, rows)
+        # a 10-year window reaches past the horizon for every entry year
+        for topic, window in itertools.product(TOPICS, (1, 2, 3, 10)):
+            overlay, areas = overlay_pipeline(corpus, topic, window)
             want = oracle_overlay(
-                raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, 2
+                raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window
             )
             assert [r.cluster_id for r in overlay] == sorted(want)
             for r in overlay:
@@ -316,9 +357,8 @@ def test_overlay_matches_oracle_on_random_corpora():
                 assert r.mean_entry_year == w["mean_entry"]
                 assert r.mean_production == w["mean_production"]
                 assert r.mean_focus == w["mean_focus"]
-            areas = area_rollup(overlay, index=index, profiles=profiles, cohort_rows=rows)
             want_areas = oracle_area_rollup(
-                raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, 2
+                raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window
             )
             assert [a.area for a in areas] == sorted(want_areas)
             for a in areas:
@@ -330,5 +370,8 @@ def test_overlay_matches_oracle_on_random_corpora():
                 assert a.avg_p_stay == w["avg_p_stay"]
                 assert a.pooled_p_stay == w["pooled_p_stay"]
                 assert a.mean_lag == w["mean_lag"]
+            if window == 10:
+                assert all(r.p_stay is None for r in overlay)
+                assert all(a.pooled_p_stay is None for a in areas)
             checked += 1
-    assert checked >= 20
+    assert checked >= 80

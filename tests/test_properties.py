@@ -140,7 +140,7 @@ def test_record_order_never_changes_reports(seed, shuffle_seed):
             emit_bands_csv(production_bands(profiles), raw=True),
         ]
         if c.clusters:
-            parts.append(emit_overlay_csv(cluster_overlay(c, topic_activity(c, "alpha"), profiles, rows)))
+            parts.append(emit_overlay_csv(cluster_overlay(c, topic_activity(c, "alpha"), profiles, 2)))
         return "".join(parts)
 
     assert render(corpus) == render(shuffled)
