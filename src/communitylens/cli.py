@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate | cohorts | indicators | classify | overlay | compare |
-synth. Flags may also come from a JSON config file named by the
-COMMUNITYLENS_CONFIG environment variable; each value is checked like the flag
-it names, and explicit flags always win.
+synth, each taking only the flags it reads (`_SUBCOMMANDS`). Flags may also
+come from a JSON config file named by COMMUNITYLENS_CONFIG; each value is
+checked like the flag it names, and explicit flags always win.
 
 Exit codes: 0 success, 1 data failure (such as a corpus that does not load,
 named by file and line on stderr), 2 usage error. Reports are staged in memory
@@ -154,63 +154,78 @@ def _split_csv(text: str | None) -> list[str] | None:
     return items
 
 
+# flag -> add_argument settings; each flag is declared once
+_FLAGS = {
+    "--corpus": dict(help="publications JSONL path"),
+    "--careers": dict(help="careers CSV path"),
+    "--clusters": dict(help="clusters CSV path"),
+    "--topic": dict(help="topic label"),
+    "--horizon": dict(type=_horizon, default="2008:2017", metavar="Y0:Y1"),
+    "--doc-types": dict(metavar="A,B", help="keep only these doc_type values"),
+    "--terms": dict(metavar="T1,T2", help="delineate --topic by matching these phrases"),
+    "--threads": dict(type=_positive_int, default=1, metavar="N",
+                      help="accepted for forward compatibility; changes nothing yet"),
+    "--out": dict(metavar="DIR"),
+    "--window": dict(type=_positive_int, default=2, metavar="N",
+                     help="stay window in years (default 2)"),
+    "--stay-denominator": dict(choices=STAY_DENOMINATORS, default="new"),
+    "--raw": dict(action="store_true", help="append full-precision columns"),
+    "--focus-mode": dict(choices=FOCUS_MODES, default="total"),
+    "--threshold-rule": dict(choices=RULES, default="promote"),
+    "--color-metric": dict(choices=COLOR_METRICS, default="p_au"),
+    "--map-format": dict(choices=["csv", "json"], default="csv"),
+    "--topic-b": dict(help="second topic label"),
+    "--corpus-b": dict(help="publications for side b (defaults to --corpus)"),
+    "--careers-b": dict(),
+    "--clusters-b": dict(),
+    "--pooled-thresholds": dict(action="store_true"),
+    "--seed": dict(type=int, default=0),
+    "--entrants": dict(type=int, default=100, help="new entrants per horizon year"),
+    "--entrants-map": dict(metavar="Y=N,...", help="override entrants for specific years"),
+    "--p-newborn": dict(type=float, default=0.35),
+    "--stay-prob": dict(type=float, default=0.16),
+    "--alpha": dict(type=float, default=2.0),
+    "--clusters-n": dict(type=int, default=0),
+    "--areas-n": dict(type=int, default=1),
+    "--topic-share": dict(type=float, default=0.6),
+    "--max-production": dict(type=int, default=10_000),
+    "--career-back": dict(type=int, default=15),
+}
+
+# subcommand -> (help, the flags it reads); argparse rejects any other flag
+_LOAD = ("--corpus", "--careers", "--clusters", "--topic", "--horizon", "--doc-types", "--terms",
+         "--threads", "--out")
+_COHORTS = ("--window", "--stay-denominator", "--raw")
+_SUBCOMMANDS = {
+    "validate": ("load corpus files, count what was dropped or repaired", _LOAD),
+    "cohorts": ("per-year cohort table", _LOAD + _COHORTS),
+    "indicators": ("cohorts plus indicator summaries and bands",
+                   _LOAD + _COHORTS + ("--focus-mode",)),
+    "classify": ("quadrant classification", _LOAD + ("--raw", "--focus-mode", "--threshold-rule")),
+    "overlay": ("cluster overlay and area rollups",
+                _LOAD + ("--window", "--raw", "--focus-mode", "--color-metric", "--map-format")),
+    "compare": ("two-community comparison",
+                _LOAD + _COHORTS + ("--focus-mode", "--threshold-rule", "--topic-b", "--corpus-b",
+                                    "--careers-b", "--clusters-b", "--pooled-thresholds")),
+    "synth": ("generate a synthetic corpus",
+              ("--topic", "--horizon", "--window", "--out", "--seed", "--entrants",
+               "--entrants-map", "--p-newborn", "--stay-prob", "--alpha", "--clusters-n",
+               "--areas-n", "--topic-share", "--max-production", "--career-back")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="communitylens",
         description="Individual-level scientific-community indicators from bibliographic corpora.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--corpus", help="publications JSONL path")
-    common.add_argument("--careers", help="careers CSV path")
-    common.add_argument("--clusters", help="clusters CSV path")
-    common.add_argument("--topic", help="topic label")
-    common.add_argument("--horizon", type=_horizon, default="2008:2017", metavar="Y0:Y1")
-    common.add_argument("--window", type=_positive_int, default=2, metavar="N",
-                        help="stay window in years (default 2)")
-    common.add_argument("--stay-denominator", choices=STAY_DENOMINATORS, default="new")
-    common.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                        help="accepted for forward compatibility; changes nothing yet")
-    common.add_argument("--out", metavar="DIR")
-    common.add_argument("--raw", action="store_true", help="append full-precision columns")
-    common.add_argument("--doc-types", metavar="A,B", help="keep only these doc_type values")
-    common.add_argument("--terms", metavar="T1,T2",
-                        help="delineate --topic by matching these phrases")
-    common.add_argument("--threshold-rule", choices=RULES, default="promote")
-    common.add_argument("--focus-mode", choices=FOCUS_MODES, default="total")
-
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("validate", parents=[common],
-                   help="load corpus files, count what was dropped or repaired")
-    sub.add_parser("cohorts", parents=[common], help="per-year cohort table")
-    sub.add_parser("indicators", parents=[common], help="cohorts plus indicator summaries and bands")
-    sub.add_parser("classify", parents=[common], help="quadrant classification")
-
-    overlay_p = sub.add_parser("overlay", parents=[common], help="cluster overlay and area rollups")
-    overlay_p.add_argument("--color-metric", choices=COLOR_METRICS, default="p_au")
-    overlay_p.add_argument("--map-format", choices=["csv", "json"], default="csv")
-
-    compare_p = sub.add_parser("compare", parents=[common], help="two-community comparison")
-    compare_p.add_argument("--topic-b", help="second topic label")
-    compare_p.add_argument("--corpus-b", help="publications for side b (defaults to --corpus)")
-    compare_p.add_argument("--careers-b")
-    compare_p.add_argument("--clusters-b")
-    compare_p.add_argument("--pooled-thresholds", action="store_true")
-
-    synth_p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    synth_p.add_argument("--seed", type=int, default=0)
-    synth_p.add_argument("--entrants", type=int, default=100, help="new entrants per horizon year")
-    synth_p.add_argument("--entrants-map", metavar="Y=N,...",
-                         help="override entrants for specific years")
-    synth_p.add_argument("--p-newborn", type=float, default=0.35)
-    synth_p.add_argument("--stay-prob", type=float, default=0.16)
-    synth_p.add_argument("--alpha", type=float, default=2.0)
-    synth_p.add_argument("--clusters-n", type=int, default=0)
-    synth_p.add_argument("--areas-n", type=int, default=1)
-    synth_p.add_argument("--topic-share", type=float, default=0.6)
-    synth_p.add_argument("--max-production", type=int, default=10_000)
-    synth_p.add_argument("--career-back", type=int, default=15)
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        # no abbreviations: synth's --clusters-n must not take a stray --clusters
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -240,9 +255,6 @@ def _load(args: argparse.Namespace, topics: Sequence[str | None], *, side_b: boo
     if side_b:
         paths, terms = (args.corpus_b, args.careers_b, args.clusters_b), None
     else:
-        _require(args, "corpus")
-        if topics:
-            _require(args, "topic")
         paths, terms = (args.corpus, args.careers, args.clusters), _split_csv(args.terms)
     _check_exists(*paths)
     if terms and not args.topic:
@@ -257,31 +269,21 @@ def _load(args: argparse.Namespace, topics: Sequence[str | None], *, side_b: boo
     )
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "subcommand"}
-    return config
-
-
 def _inputs(args: argparse.Namespace) -> dict[str, str]:
-    inputs = {}
-    for name in ("corpus", "careers", "clusters", "corpus_b", "careers_b", "clusters_b"):
-        path = getattr(args, name, None)
-        if path is not None:
-            inputs[name] = path
-    return inputs
+    names = ("corpus", "careers", "clusters", "corpus_b", "careers_b", "clusters_b")
+    return {name: path for name, path in vars(args).items() if name in names and path is not None}
 
 
 def _finish(args: argparse.Namespace, files: dict[str, str]) -> int:
-    _require(args, "out")
+    flags = {k: v for k, v in sorted(vars(args).items()) if k != "subcommand"}
     files = dict(files)
-    files["manifest.json"] = build_manifest(
-        args.subcommand, _config_echo(args), _inputs(args), files
-    )
+    files["manifest.json"] = build_manifest(args.subcommand, flags, _inputs(args), files)
     write_run(args.out, files)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    _require(args, "corpus")
     try:
         corpus = _load(args, ())
     except CorpusError as exc:
@@ -358,7 +360,7 @@ _TOPIC_COMMANDS = {
 
 def _cmd_topic(args: argparse.Namespace) -> int:
     build_files, required, builds_profiles, zero_rows_ok = _TOPIC_COMMANDS[args.subcommand]
-    _require(args, *required)
+    _require(args, "corpus", "topic", *required, "out")  # before any input is read
     corpus = _load(args, (args.topic,))
     index = topic_activity(corpus, args.topic)
     if not index:
@@ -366,14 +368,12 @@ def _cmd_topic(args: argparse.Namespace) -> int:
             raise UnknownTopicError(args.topic)
         print(f"warning: topic {args.topic!r} has no publications; emitting zero rows",
               file=sys.stderr)
-    profiles = None
-    if builds_profiles:
-        profiles = author_profiles(corpus, args.topic, args.focus_mode)
+    profiles = author_profiles(corpus, args.topic, args.focus_mode) if builds_profiles else None
     return _finish(args, build_files(args, corpus, index, profiles))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _require(args, "topic_b")
+    _require(args, "topic_b", "corpus", "topic", "out")
     if not args.corpus_b and (args.careers_b or args.clusters_b):
         raise _Usage("--careers-b and --clusters-b need --corpus-b")
     _check_exists(args.corpus_b, args.careers_b, args.clusters_b)

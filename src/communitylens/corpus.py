@@ -229,7 +229,7 @@ class Corpus:
     load_report: LoadReport | None = None
 
     # Not a field: only perfbench/tracer.py reads it, to count delineation
-    # candidates. Delete it when that tracer is replaced (ROADMAP item 3).
+    # candidates. Delete it when that tracer is replaced (ROADMAP item 1).
     publications = ()
 
 

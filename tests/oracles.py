@@ -308,10 +308,13 @@ def oracle_area_shares(pubs, clusters, topic, horizon, groups):
 # --- overlay oracle -------------------------------------------------------------
 
 
-def oracle_overlay(pubs, careers, clusters, topic, horizon, window):
+def oracle_overlay(pubs, careers, clusters, topic, horizon, window, prof=None):
+    """Per-cluster overlay rows; `prof` is oracle_profiles() of the same
+    arguments, when the caller has it already."""
     y0, y1 = horizon
     eligible_end = y1 - window
-    prof = oracle_profiles(pubs, careers, topic, horizon)
+    if prof is None:
+        prof = oracle_profiles(pubs, careers, topic, horizon)
 
     def on_topic(p):
         return topic in p["topics"] and y0 <= p["year"] <= y1
@@ -352,8 +355,8 @@ def oracle_overlay(pubs, careers, clusters, topic, horizon, window):
 
 
 def oracle_area_rollup(pubs, careers, clusters, topic, horizon, window):
-    overlay = oracle_overlay(pubs, careers, clusters, topic, horizon, window)
     prof = oracle_profiles(pubs, careers, topic, horizon)
+    overlay = oracle_overlay(pubs, careers, clusters, topic, horizon, window, prof)
     y0, y1 = horizon
     eligible_end = y1 - window
 

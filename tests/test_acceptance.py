@@ -176,7 +176,7 @@ def test_criterion_4_oracle_equivalence():
 
         overlay = {r.cluster_id: r for r in cluster_overlay(corpus, topic_activity(corpus, topic), profiles, window)}
         want_overlay = oracle_overlay(
-            raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window
+            raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window, want_profiles
         )
         assert set(overlay) == set(want_overlay)
         for cid, row in overlay.items():

@@ -88,6 +88,18 @@ def test_side_b_inputs_need_corpus_b(bd2012_paths, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["cohorts"], ["classify"], ["compare", "--topic-b", "x"]],
+                         ids=["cohorts", "classify", "compare"])
+def test_missing_out_is_usage_error_before_the_load(bd2012_paths, capsys, argv):
+    # an absent topic would be a warning (cohorts) or a data error (classify,
+    # compare) after the load; the missing --out is reported first
+    code = main([*argv, *bd_args(bd2012_paths)[:-2], "--topic", "nope"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--out is required for {argv[0]}" in err
+    assert "nope" not in err
+
+
 def test_unknown_topic_classify_is_data_error(bd2012_paths, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["classify", *bd_args(bd2012_paths, "--out", str(out))[:-2],
@@ -203,9 +215,9 @@ def test_env_config_values_checked_like_flags(bd2012_paths, tmp_path, monkeypatc
 
 def test_env_config_switches_and_other_subcommands(bd2012_paths, tmp_path, monkeypatch):
     config = tmp_path / "config.json"
-    # raw is a switch; seed and color_metric belong to other subcommands
+    # raw is a switch; seed, color_metric and threshold_rule belong to other subcommands
     config.write_text(json.dumps({"raw": True, "seed": 3, "color_metric": "p_stay",
-                                  "window": 3}))
+                                  "window": 3, "threshold_rule": "strict"}))
     monkeypatch.setenv("COMMUNITYLENS_CONFIG", str(config))
     out = tmp_path / "run"
     assert main(["cohorts", *bd_args(bd2012_paths, "--window", "2", "--out", str(out))]) == 0
@@ -213,6 +225,67 @@ def test_env_config_switches_and_other_subcommands(bd2012_paths, tmp_path, monke
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["raw"] is True
     assert manifest["config"]["window"] == 2  # the explicit flag wins
+    assert "threshold_rule" not in manifest["config"]
+
+
+LOAD_KEYS = {"corpus", "careers", "clusters", "topic", "horizon", "doc_types", "terms", "threads",
+             "out"}
+COHORT_KEYS = {"window", "stay_denominator", "raw"}
+CONFIG_KEYS = {
+    "validate": LOAD_KEYS,
+    "cohorts": LOAD_KEYS | COHORT_KEYS,
+    "indicators": LOAD_KEYS | COHORT_KEYS | {"focus_mode"},
+    "classify": LOAD_KEYS | {"raw", "focus_mode", "threshold_rule"},
+    "overlay": LOAD_KEYS | {"window", "raw", "focus_mode", "color_metric", "map_format"},
+    "compare": LOAD_KEYS | COHORT_KEYS | {"focus_mode", "threshold_rule", "topic_b", "corpus_b",
+                                          "careers_b", "clusters_b", "pooled_thresholds"},
+}
+
+
+@pytest.fixture(scope="module")
+def synth_paths(tmp_path_factory):
+    data = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out", str(data), "--seed", "5", "--entrants", "30",
+                 "--clusters-n", "4", "--areas-n", "2", "--topic", "synth"]) == 0
+    return ["--corpus", str(data / "publications.jsonl"), "--careers", str(data / "careers.csv"),
+            "--clusters", str(data / "clusters.csv"), "--topic", "synth"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIG_KEYS))
+def test_manifest_echoes_the_flags_the_subcommand_takes(synth_paths, tmp_path, subcommand):
+    out = tmp_path / "run"
+    extra = ["--topic-b", "synth"] if subcommand == "compare" else []
+    assert main([subcommand, *synth_paths, *extra, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["config"]) == CONFIG_KEYS[subcommand]
+
+
+# (subcommand, flag) pairs whose flag reaches none of the subcommand's outputs
+INERT_FLAGS = [
+    *(("validate", flag) for flag in ("--window", "--stay-denominator", "--raw",
+                                      "--threshold-rule", "--focus-mode")),
+    ("cohorts", "--focus-mode"), ("cohorts", "--threshold-rule"),
+    ("indicators", "--threshold-rule"),
+    ("classify", "--window"), ("classify", "--stay-denominator"),
+    ("overlay", "--stay-denominator"), ("overlay", "--threshold-rule"),
+    *(("synth", flag) for flag in ("--corpus", "--careers", "--clusters", "--raw", "--doc-types",
+                                   "--terms", "--threshold-rule", "--focus-mode",
+                                   "--stay-denominator", "--threads")),
+]
+FLAG_VALUES = {"--window": ["3"], "--stay-denominator": ["all"], "--raw": [],
+               "--threshold-rule": ["strict"], "--focus-mode": ["annual"], "--corpus": ["x.jsonl"],
+               "--careers": ["x.csv"], "--clusters": ["4"], "--doc-types": ["article"],
+               "--terms": ["big data"], "--threads": ["2"]}
+
+
+@pytest.mark.parametrize("subcommand, flag", INERT_FLAGS)
+def test_flag_the_subcommand_does_not_read_is_usage_error(bd2012_paths, tmp_path, capsys,
+                                                          subcommand, flag):
+    out = tmp_path / "run"
+    inputs = [] if subcommand == "synth" else bd_args(bd2012_paths)
+    assert main([subcommand, *inputs, flag, *FLAG_VALUES[flag], "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_do_not_change_output(bd2012_paths, tmp_path):
