@@ -80,9 +80,14 @@ class QuadrantThresholds:
         return value >= self.production_cutoff
 
     def high_focus(self, value: Fraction) -> bool:
+        # cross-multiplied: both denominators are positive, so this is the
+        # order of the Fractions without Fraction's comparison machinery
+        cutoff = self.focus_cutoff
+        lhs = value.numerator * cutoff.denominator
+        rhs = cutoff.numerator * value.denominator
         if self.rule == STRICT:
-            return value > self.focus_cutoff
-        return value >= self.focus_cutoff
+            return lhs > rhs
+        return lhs >= rhs
 
 
 _ratio = attrgetter("numerator", "denominator")

@@ -14,6 +14,7 @@ run leaves no partial outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -450,6 +451,22 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand with the cyclic garbage collector off.
+
+    A run builds millions of dicts, sets and Fractions and no reference
+    cycle, so collector passes would only pause it. The caller's collector
+    state is restored on return, for in-process callers such as tests.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         parser = build_parser()
         try:

@@ -159,19 +159,18 @@ def _build_year_sets(
     missing: set[str] = set()
 
     for author, by_year in index.counts.items():
-        active_years = sorted(by_year)
-        entry = active_years[0]
+        entry = next(iter(by_year))  # years ascend (TopicIndex.sort_authors)
         new_by_year[entry].add(author)
         career = corpus.careers.get(author)
         if career is None:
             missing.add(author)
         elif career.first_year == entry:
             newborn_by_year[entry].add(author)
-        for y in active_years:
+        for y in by_year:
             all_by_year[y].add(author)
             if y > entry:
                 old_by_year[y].add(author)
-        if stays(active_years, entry, stay_window, y1):
+        if stays(by_year, entry, stay_window, y1):
             stay_by_year[entry].add(author)
 
     if missing:

@@ -4,8 +4,10 @@ Each side runs the standalone pipeline (cohort series, indicator summaries,
 production bands, quadrant classification) with identical configuration,
 from one topic index and one set of author profiles per side;
 authors active in both communities are analyzed independently on each side
-and counted in the overlap. Difference tables subtract side b from side a
-cell by cell in exact arithmetic before rounding.
+and counted in the overlap. When both topics come from one corpus, an author
+in both has their horizon career total summed once (Corpus.horizon_totals).
+Difference tables subtract side b from side a cell by cell in exact
+arithmetic before rounding.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def compare(
                 side.profiles, thresholds, corpus=cp, index=side.index
             )
 
-    overlap = len(set(side_a.profiles) & set(side_b.profiles))
+    overlap = len(side_a.profiles.keys() & side_b.profiles.keys())
     return ComparisonReport(side_a, side_b, overlap)
 
 

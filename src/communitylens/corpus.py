@@ -39,7 +39,6 @@ topic year.
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import logging
 import math
@@ -174,7 +173,8 @@ class TopicIndex:
     """What a topic's publications say about its authors, from one pass.
 
     counts maps author_id -> {year: topic publications}, ordered by author_id
-    so every downstream reduction is enumeration-order independent. clusters
+    so every downstream reduction is enumeration-order independent, and each
+    author's years in ascending order, so the first is the entry year. clusters
     maps author_id -> ids of the known clusters holding the author's topic
     publications; authors without one are absent. len() is the number of
     topic authors.
@@ -212,8 +212,10 @@ class TopicIndex:
         return {area: authors for area, authors in members.items() if authors}
 
     def sort_authors(self) -> TopicIndex:
-        """Order counts by author_id once the last publication is added."""
-        self.counts = {a: self.counts[a] for a in sorted(self.counts)}
+        """Order counts by author_id, and each author's years ascending, once
+        the last publication is added."""
+        counts = self.counts
+        self.counts = {a: dict(sorted(counts[a].items())) for a in sorted(counts)}
         return self
 
 
@@ -227,6 +229,12 @@ class Corpus:
     horizon: tuple[int, int]
     topic_indexes: dict[str, TopicIndex]
     load_report: LoadReport | None = None
+    # author -> career records within the horizon. author_profiles fills it
+    # for the topic authors it meets, so both sides of a same-corpus compare
+    # sum each career once and a load that indexes no topic sums none. It
+    # holds because careers and horizon do not change once a corpus is built.
+    horizon_totals: dict[str, int] = field(default_factory=dict, init=False, repr=False,
+                                           compare=False)
 
     # Not a field: only perfbench/tracer.py reads it, to count delineation
     # candidates. Delete it when that tracer is replaced (ROADMAP item 1).
@@ -468,8 +476,6 @@ def load_corpus(
     observed: dict[str, dict[int, int]] = {}
 
     source = str(publications_path)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # bulk allocation phase; nothing here creates cycles
     try:
         with open(publications_path, encoding="utf-8") as fh:
             line_no = 0
@@ -592,9 +598,6 @@ def load_corpus(
                         index.add(year, authors, cluster_id)
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     report.publications_loaded = (
         report.publications_parsed - report.dropped_doc_type - report.dropped_out_of_horizon

@@ -5,11 +5,12 @@ year, per-year topic production, per-year focus (share of that year's total
 output that is on-topic), whole-horizon production and focus, and the entry
 lag between first publication and first topic publication.
 
-author_profiles() builds one profile per topic author from the topic index and
-the careers; it holds the integer topic and career counts of each topic year.
-Year summaries and production bands reduce over those profiles. Count-derived
-means and the focus variance are exact Fractions; only the 95% interval
-half-width, one square root of the exact variance, is a float.
+author_profiles() builds one profile per topic author in one integer pass over
+the topic index and the careers; it holds the topic and career counts of each
+topic year. Year summaries and production bands reduce over those profiles,
+summing integer columns as ints. Count-derived means and the focus variance
+are exact Fractions; only the 95% interval half-width, one square root of the
+exact variance, is a float.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .cohorts import topic_activity
 from .corpus import Corpus, MissingCareerError
-from .rounding import _sum_over_lcm, mean_exact, percent
+from .rounding import _sum_over_lcm, mean, mean_exact, percent
 
 TOTAL_RATIO = "total"
 MEAN_ANNUAL = "annual"
@@ -44,7 +45,7 @@ class AuthorProfile:
     author_id: str
     first_year: int  # first publication ever
     entry_year: int  # first topic publication
-    topic_counts: dict[int, int]  # per-year topic production, year order
+    topic_counts: dict[int, int]  # per-year topic production, year order; the index's own dict
     career_counts: dict[int, int]  # total output in each topic year
     production_total: int
     focus_overall: Fraction
@@ -73,12 +74,13 @@ def author_profiles(
     missing = [a for a in index.counts if a not in careers]
     if missing:
         raise MissingCareerError(sorted(missing))
+    totals = corpus.horizon_totals
     profiles: dict[str, AuthorProfile] = {}
-    for author, by_year in index.counts.items():
+    for author, topic_counts in index.counts.items():
         career = careers[author]
         pubs_by_year = career.pubs_by_year
-        topic_counts = dict(sorted(by_year.items()))
         career_counts: dict[int, int] = {}
+        production = 0
         for y, n_topic in topic_counts.items():
             n_total = pubs_by_year.get(y, 0)
             if n_total < n_topic:
@@ -87,12 +89,17 @@ def author_profiles(
                     f"but the corpus holds {n_topic} topic record(s)"
                 )
             career_counts[y] = n_total
-        production = sum(topic_counts.values())
+            production += n_topic
         if focus_mode == TOTAL_RATIO:
-            career_total = sum(n for y, n in pubs_by_year.items() if y0 <= y <= y1)
+            career_total = totals.get(author)
+            if career_total is None:
+                career_total = totals[author] = sum(
+                    n for y, n in pubs_by_year.items() if y0 <= y <= y1
+                )
             focus = Fraction(100 * production, career_total)
         else:
-            focus = mean_exact(Fraction(100 * n, career_counts[y]) for y, n in topic_counts.items())
+            den, num = _sum_over_lcm([(career_counts[y], 100 * n) for y, n in topic_counts.items()])
+            focus = mean(Fraction(num, den), len(topic_counts))
         entry = next(iter(topic_counts))
         profiles[author] = AuthorProfile(
             author_id=author,
@@ -130,42 +137,49 @@ class YearIndicatorSummary:
     focus_ci95: float | None
 
 
-def _focus_mean_ci(active: list[tuple[AuthorProfile, int, int]]) -> tuple[Fraction, float]:
-    """Mean focus 100 * n_topic / n_total over a year's active authors, and its
-    95% half-width. Numerators and their squares are summed as ints per career
-    count and merged over the lcm of the counts, so the mean and the sample
-    variance are exact."""
+def _focus_mean_ci(n: int, sums: dict[int, int], sumsq: dict[int, int]) -> tuple[Fraction, float]:
+    """Mean focus 100 * n_topic / n_total over a year's n active authors, and
+    its 95% half-width, from the numerators and their squares summed as ints
+    per career count. Merged over the lcm of the counts, the mean and the
+    sample variance are exact."""
+    den, num = _sum_over_lcm(list(sums.items()))
+    mean_focus = mean(Fraction(num, den), n)
+    if n < 2:
+        return mean_focus, 0.0
+    den, num = _sum_over_lcm([(d * d, sq) for d, sq in sumsq.items()])
+    var = (Fraction(num, den) - n * mean_focus * mean_focus) / (n - 1)
+    return mean_focus, 1.96 * math.sqrt(var / n)
+
+
+def _year_summary(year: int, active: list[tuple[AuthorProfile, int, int]]) -> YearIndicatorSummary:
+    """Summary of one year from its (profile, topic count, career count)
+    triples, in one pass of integer sums."""
+    n_new = first_new = first_old = entry_sum = production = 0
     sums: dict[int, int] = {}
     sumsq: dict[int, int] = {}
-    for _, n_topic, n_total in active:
+    for p, n_topic, n_total in active:
+        if p.entry_year == year:
+            n_new += 1
+            first_new += p.first_year
+        else:
+            first_old += p.first_year
+        entry_sum += p.entry_year
+        production += n_topic
         x = 100 * n_topic
         sums[n_total] = sums.get(n_total, 0) + x
         sumsq[n_total] = sumsq.get(n_total, 0) + x * x
     n = len(active)
-    den, num = _sum_over_lcm(list(sums.items()))
-    mean = Fraction(num, den * n)
-    if n < 2:
-        return mean, 0.0
-    den, num = _sum_over_lcm([(d * d, sq) for d, sq in sumsq.items()])
-    var = (Fraction(num, den) - n * mean * mean) / (n - 1)
-    return mean, 1.96 * math.sqrt(var / n)
-
-
-def _year_summary(year: int, active: list[tuple[AuthorProfile, int, int]]) -> YearIndicatorSummary:
-    """Summary of one year from its (profile, topic count, career count) triples."""
-    first_new = [p.first_year for p, _, _ in active if p.entry_year == year]
-    first_old = [p.first_year for p, _, _ in active if p.entry_year != year]
-    mean_focus, ci = _focus_mean_ci(active) if active else (None, None)
+    mean_focus, ci = _focus_mean_ci(n, sums, sumsq) if n else (None, None)
     return YearIndicatorSummary(
         year=year,
-        n_active=len(active),
-        n_new=len(first_new),
-        n_old=len(first_old),
-        mean_first_year_all=mean_exact(p.first_year for p, _, _ in active),
-        mean_first_year_new=mean_exact(first_new),
-        mean_first_year_old=mean_exact(first_old),
-        mean_entry_year=mean_exact(p.entry_year for p, _, _ in active),
-        mean_production=mean_exact(n_topic for _, n_topic, _ in active),
+        n_active=n,
+        n_new=n_new,
+        n_old=n - n_new,
+        mean_first_year_all=mean(first_new + first_old, n),
+        mean_first_year_new=mean(first_new, n_new),
+        mean_first_year_old=mean(first_old, n - n_new),
+        mean_entry_year=mean(entry_sum, n),
+        mean_production=mean(production, n),
         mean_focus=mean_focus,
         focus_ci95=ci,
     )
@@ -183,8 +197,9 @@ def year_summaries(
     y0, y1 = corpus.horizon
     active: dict[int, list[tuple[AuthorProfile, int, int]]] = {y: [] for y in range(y0, y1 + 1)}
     for p in profiles.values():
+        career_counts = p.career_counts
         for y, n_topic in p.topic_counts.items():
-            active[y].append((p, n_topic, p.career_counts[y]))
+            active[y].append((p, n_topic, career_counts[y]))
     return [_year_summary(y, active[y]) for y in range(y0, y1 + 1)]
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .cohorts import check_stay_window, stays
 from .corpus import Corpus, TopicIndex
 from .indicators import AuthorProfile
-from .rounding import mean_exact, percent
+from .rounding import mean, mean_exact, percent
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +84,16 @@ def _pooled_stay(group: list[AuthorProfile], status: dict[str, bool | None]) -> 
     return percent(decided.count(True), eligible)
 
 
+def _int_sums(group: list[AuthorProfile]) -> tuple[int, int, int]:
+    """The group's sums of first year, entry year and production, as ints."""
+    first = entry = production = 0
+    for p in group:
+        first += p.first_year
+        entry += p.entry_year
+        production += p.production_total
+    return first, entry, production
+
+
 def cluster_overlay(
     corpus: Corpus,
     index: TopicIndex,
@@ -114,6 +124,7 @@ def cluster_overlay(
             p_au = None
         else:
             p_au = percent(n, meta.total_authors)
+        first, entry, production = _int_sums(group)
         rows.append(
             ClusterOverlayRow(
                 cluster_id=cluster_id,
@@ -125,9 +136,9 @@ def cluster_overlay(
                 total_authors=meta.total_authors,
                 p_au=p_au,
                 p_stay=_pooled_stay(group, status),
-                mean_first_year=mean_exact(p.first_year for p in group),
-                mean_entry_year=mean_exact(p.entry_year for p in group),
-                mean_production=mean_exact(p.production_total for p in group),
+                mean_first_year=mean(first, n),
+                mean_entry_year=mean(entry, n),
+                mean_production=mean(production, n),
                 mean_focus=mean_exact(p.focus_overall for p in group),
                 metadata_conflict=conflict,
             )
@@ -156,18 +167,20 @@ def area_rollup(
         candidates = [r for r in rows if r.p_au is not None]
         # ties on p_au resolve to the smallest cluster_id
         top = min(candidates, key=lambda r: (-r.p_au, r.cluster_id)) if candidates else None
+        n = len(group)
+        first, entry, _ = _int_sums(group)
         rollups.append(
             AreaRollup(
                 area=area,
                 n_clusters=len(rows),
-                n_authors=len(group),
+                n_authors=n,
                 n_authors_full=sum(r.n_topic_authors for r in rows),
                 avg_p_au=mean_exact(r.p_au for r in candidates),
                 avg_p_stay=mean_exact(r.p_stay for r in rows if r.p_stay is not None),
                 pooled_p_stay=_pooled_stay(group, status),
-                mean_first_year=mean_exact(p.first_year for p in group),
-                mean_entry_year=mean_exact(p.entry_year for p in group),
-                mean_lag=mean_exact(p.entry_lag for p in group),
+                mean_first_year=mean(first, n),
+                mean_entry_year=mean(entry, n),
+                mean_lag=mean(entry - first, n),  # entry_lag is entry_year - first_year
                 top_cluster_id=None if top is None else top.cluster_id,
                 top_cluster_label=None if top is None else top.label,
                 top_cluster_p_au=None if top is None else top.p_au,

@@ -36,8 +36,17 @@ def percent(part: int, whole: int) -> Fraction:
     return Fraction(100 * part, whole)
 
 
+def mean(total: Rational, count: int) -> Fraction | None:
+    """The exact mean of `count` values that sum to `total`; None when there
+    are none. Integer columns (years, production, lag) pass their plain int
+    sum, so they need no Fraction until this one."""
+    if not count:
+        return None
+    return Fraction(total, count)
+
+
 def mean_exact(values: Iterable[Rational]) -> Fraction | None:
-    """Exact mean of rationals; None when there are none.
+    """mean() of rationals; None when there are none.
 
     Numerators are summed as plain ints per denominator, since millions of
     terms often share a handful of denominators. Those sums are combined over
@@ -50,7 +59,7 @@ def mean_exact(values: Iterable[Rational]) -> Fraction | None:
     if not count:
         return None
     den, num = _sum_over_lcm(list(sums.items()))
-    return Fraction(num, den * count)
+    return mean(Fraction(num, den), count)
 
 
 def _sum_over_lcm(terms: list[tuple[int, int]]) -> tuple[int, int]:

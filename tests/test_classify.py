@@ -9,8 +9,11 @@ from communitylens.classify import (
     GROUPS,
     INCLUSIVE,
     PROMOTE,
+    RULES,
     STRICT,
+    CutTrace,
     DegenerateDistributionError,
+    QuadrantThresholds,
     assign_group,
     check_rule,
     classify_authors,
@@ -202,6 +205,43 @@ def test_assign_group_quadrants():
     assert assign_group(t, 1, Fraction(90)) == "interested"
     assert assign_group(t, 2, Fraction(10)) == "casual"
     assert assign_group(t, 1, Fraction(10)) == "incidental"
+
+
+def _group_by_fraction_order(t, production, focus):
+    """assign_group's reference: the cutoffs compared with Fraction's operators."""
+    if t.rule == STRICT:
+        high_p, high_f = production > t.production_cutoff, focus > t.focus_cutoff
+    else:
+        high_p, high_f = production >= t.production_cutoff, focus >= t.focus_cutoff
+    if high_p:
+        return "specialist" if high_f else "casual"
+    return "interested" if high_f else "incidental"
+
+
+_FOCUS = st.one_of(st.fractions(min_value=0, max_value=100), st.sampled_from(_FOCUS_TWINS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(RULES),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    _FOCUS,
+    st.data(),
+)
+def test_assign_group_cross_multiplied_matches_fraction_order(
+    rule, production_cutoff, production, cutoff, data
+):
+    # the value equals the cutoff, is a distinct value with the same float, or
+    # is drawn freely (the twins of _FOCUS_TWINS among them)
+    focus = data.draw(st.one_of(
+        st.just(Fraction(cutoff.numerator, cutoff.denominator)),
+        st.sampled_from([cutoff - _TINY, cutoff + _TINY]),
+        _FOCUS,
+    ))
+    trace = CutTrace(raw_percentile=cutoff, cutoff=cutoff, promoted=False)
+    t = QuadrantThresholds(production_cutoff, cutoff, rule, trace, trace)
+    assert assign_group(t, production, focus) == _group_by_fraction_order(t, production, focus)
 
 
 def test_groups_partition_and_shares_sum(threshold_corpus):

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -478,6 +479,28 @@ def test_compare_cli_writes_full_set(tmp_path):
         }
     assert names == want
     assert "overlap,1" in (out / "summary.csv").read_text()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_run_triggers_no_collection(bd2012_paths, tmp_path, collecting):
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    argv = ["compare", *bd_args(bd2012_paths, "--topic-b", "big data", "--out", str(tmp_path / "run"))]
+    assert gc.isenabled()
+    if not collecting:
+        gc.disable()
+    gc.callbacks.append(on_gc)
+    try:
+        assert main(argv) == 0
+        assert gc.isenabled() == collecting  # the caller's state is back
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.enable()
+    assert starts == []
 
 
 def test_cohorts_raw_columns(bd2012_paths, tmp_path):

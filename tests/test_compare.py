@@ -263,6 +263,51 @@ def test_diff_cells_subtract_exactly():
     assert bands[1].split(",")[:2] == ["1", "-1"]
 
 
+# Three authors in both topics, listed out of year order, with career years
+# before and after the 2008-2017 horizon.
+SHARED_PUBS = [
+    ("q1", 2014, ["s1", "s2"], ["alpha"]),
+    ("q2", 2011, ["s1"], ["alpha", "beta"]),
+    ("q3", 2016, ["s1", "s3"], ["beta"]),
+    ("q4", 2009, ["s2", "s3"], ["beta"]),
+    ("q5", 2013, ["s3"], ["alpha"]),
+    ("q6", 2005, ["s1"], ["alpha"]),
+]
+SHARED_CAREERS = {
+    "s1": (2003, {2003: 2, 2005: 1, 2011: 3, 2014: 1, 2016: 2, 2019: 4}),
+    "s2": (2009, {2009: 1, 2014: 2, 2018: 1}),
+    "s3": (2000, {2000: 1, 2009: 2, 2013: 1, 2016: 1}),
+}
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("focus_mode", ["total", "annual"])
+def test_shared_career_totals_leave_each_side_standalone(focus_mode, pooled):
+    corpus = make_corpus(SHARED_PUBS, SHARED_CAREERS)
+    report = compare(corpus, "alpha", "beta", focus_mode=focus_mode, pooled_thresholds=pooled)
+    assert report.overlap == 3
+    for side, topic in ((report.side_a, "alpha"), (report.side_b, "beta")):
+        fresh = make_corpus(SHARED_PUBS, SHARED_CAREERS)
+        assert side.profiles == author_profiles(fresh, topic, focus_mode)
+        for p in side.profiles.values():
+            assert list(p.topic_counts) == sorted(p.topic_counts)
+    if focus_mode == "total":
+        # s1: 2 alpha records of the 3 + 1 + 2 career records inside the horizon
+        assert report.side_a.profiles["s1"].focus_overall == Fraction(100, 3)
+        # s3: 2 beta records of 2 + 1 + 1
+        assert report.side_b.profiles["s3"].focus_overall == 50
+
+
+def test_career_totals_stay_with_their_corpus():
+    doubled = {a: (yfp, {y: 2 * n for y, n in counts.items()})
+               for a, (yfp, counts) in SHARED_CAREERS.items()}
+    report = compare(make_corpus(SHARED_PUBS, SHARED_CAREERS), "alpha", "beta",
+                     corpus_b=make_corpus(SHARED_PUBS, doubled))
+    assert report.side_a.profiles == author_profiles(make_corpus(SHARED_PUBS, SHARED_CAREERS), "alpha")
+    assert report.side_b.profiles == author_profiles(make_corpus(SHARED_PUBS, doubled), "beta")
+    assert report.side_b.profiles["s3"].focus_overall == 25
+
+
 def test_random_corpora_sides_equal_direct_runs():
     checked = 0
     for seed in range(40, 70):

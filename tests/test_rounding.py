@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from communitylens.rounding import (
     format_fixed,
+    mean,
     mean_exact,
     percent,
 )
@@ -58,6 +59,8 @@ def test_mean_exact():
     assert mean_exact([]) is None
     assert mean_exact(iter([])) is None
     assert mean_exact([Fraction(1), Fraction(2)]) == Fraction(3, 2)
+    assert mean(0, 0) is None
+    assert mean(2008 + 2011 + 2011, 3) == mean_exact([2008, 2011, 2011]) == Fraction(6030, 3)
 
 
 def test_mean_exact_of_thirds_and_half():
