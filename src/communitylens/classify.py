@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .cohorts import TopicIndex
-from .corpus import Corpus
+from .corpus import Corpus, Record
 from .indicators import AuthorProfile
 from .rounding import percent
 
@@ -57,8 +57,7 @@ def check_rule(value: str) -> None:
         raise ValueError(f"threshold rule must be one of {list(RULES)}, got {value!r}")
 
 
-@dataclass(slots=True)
-class CutTrace:
+class CutTrace(NamedTuple):
     """How one cutoff was resolved."""
 
     raw_percentile: Fraction
@@ -66,8 +65,7 @@ class CutTrace:
     promoted: bool
 
 
-@dataclass(slots=True)
-class QuadrantThresholds:
+class QuadrantThresholds(NamedTuple):
     production_cutoff: int
     focus_cutoff: Fraction
     rule: str
@@ -155,16 +153,17 @@ def resolve_thresholds(
     )
 
 
-@dataclass(slots=True)
-class QuadrantAssignment:
-    author_id: str
-    group: str
-    production_total: int
-    focus_overall: Fraction
+class QuadrantAssignment(Record):
+    __slots__ = _fields = ("author_id", "group", "production_total", "focus_overall")
+
+    def __init__(self, author_id: str, group: str, production_total: int, focus_overall: Fraction):
+        self.author_id = author_id
+        self.group = group
+        self.production_total = production_total
+        self.focus_overall = focus_overall
 
 
-@dataclass
-class GroupShares:
+class GroupShares(NamedTuple):
     total: int
     counts: dict[str, int]
 
@@ -175,8 +174,7 @@ class GroupShares:
         return {g: self.share(g) for g in GROUPS}
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     thresholds: QuadrantThresholds
     assignments: list[QuadrantAssignment]  # ordered by author_id
     community: GroupShares

@@ -95,8 +95,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     if not config:
         return args
     path = os.environ[ENV_CONFIG]
-    known = set().union(*(vars(parser.parse_args([name])) for name in _HANDLERS))
-    unknown = sorted(set(config) - (known - {"subcommand"}))
+    known = {flag[2:].replace("-", "_") for _, flags in _SUBCOMMANDS.values() for flag in flags}
+    unknown = sorted(set(config) - known)
     if unknown:
         raise _Usage(f"{ENV_CONFIG} file {path} has unknown keys: {', '.join(unknown)}")
     defaults = vars(parser.parse_args([args.subcommand]))
@@ -215,7 +215,10 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given argv, only the subcommands named in it get
+    their flags: the one argparse picks is among them, and the flags of the
+    others would only add to every run's start-up."""
     parser = _Parser(
         prog="communitylens",
         description="Individual-level scientific-community indicators from bibliographic corpora.",
@@ -225,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         # no abbreviations: synth's --clusters-n must not take a stray --clusters
         command = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag in flags:
-            command.add_argument(flag, **_FLAGS[flag])
+        if argv is None or name in argv:
+            for flag in flags:
+                command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -468,9 +472,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     try:
-        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser = build_parser(argv)
         try:
-            args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+            args = _parse_args(parser, argv)
         except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
         return _HANDLERS[args.subcommand](args)

@@ -14,9 +14,8 @@ while it parses (see corpus); topic_activity() returns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Corpus, MissingCareerError, TopicIndex
 from .rounding import percent
@@ -55,8 +54,7 @@ def stays(topic_years: Iterable[int], entry: int, stay_window: int, horizon_end:
     return False
 
 
-@dataclass(slots=True)
-class YearCohorts:
+class YearCohorts(NamedTuple):
     """Cohort membership for one year. stayers is None when undetermined."""
 
     year: int

@@ -12,7 +12,7 @@ arithmetic before rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import (
     PROMOTE,
@@ -61,8 +61,7 @@ from .reports import (
 )
 
 
-@dataclass
-class CommunitySide:
+class CommunitySide(NamedTuple):
     topic: str
     index: TopicIndex
     n_authors: int
@@ -74,8 +73,7 @@ class CommunitySide:
     classification_note: str | None = None  # why classification is None
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     side_a: CommunitySide
     side_b: CommunitySide
     overlap: int  # authors present in both communities
@@ -141,12 +139,13 @@ def compare(
         cuts = [_thresholds_or_note(pooled, threshold_rule)] * 2
     else:
         cuts = [_thresholds_or_note(side.profiles, threshold_rule) for side in (side_a, side_b)]
+    sides = []
     for (side, cp), (thresholds, note) in zip(((side_a, corpus), (side_b, other)), cuts):
-        side.classification_note = note
+        classification = None
         if thresholds is not None:
-            side.classification = classify_authors(
-                side.profiles, thresholds, corpus=cp, index=side.index
-            )
+            classification = classify_authors(side.profiles, thresholds, corpus=cp, index=side.index)
+        sides.append(side._replace(classification=classification, classification_note=note))
+    side_a, side_b = sides
 
     overlap = len(side_a.profiles.keys() & side_b.profiles.keys())
     return ComparisonReport(side_a, side_b, overlap)

@@ -40,14 +40,10 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
-
-log = logging.getLogger(__name__)
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Canonical top-level research areas for cluster metadata.
 RESEARCH_AREAS = (
@@ -110,17 +106,36 @@ class CareerConflictError(CorpusError):
         self.conflicts = list(conflicts)
 
 
-@dataclass(slots=True)
-class AuthorCareer:
+class Record:
+    """Base of the records built once per author, and of those changed after
+    they are built: slots, with equality and repr over ``_fields`` in order.
+    The other records are NamedTuples."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+
+class AuthorCareer(Record):
     """First publication year and full per-year output of one author."""
 
-    author_id: str
-    first_year: int
-    pubs_by_year: dict[int, int]
+    __slots__ = _fields = ("author_id", "first_year", "pubs_by_year")
+
+    def __init__(self, author_id: str, first_year: int, pubs_by_year: dict[int, int]):
+        self.author_id = author_id
+        self.first_year = first_year
+        self.pubs_by_year = pubs_by_year
 
 
-@dataclass(slots=True)
-class ClusterMeta:
+class ClusterMeta(NamedTuple):
     cluster_id: str
     label: str
     area: str
@@ -129,21 +144,20 @@ class ClusterMeta:
     y: float | None = None
 
 
-@dataclass
-class LoadReport:
+class LoadReport(NamedTuple):
     """What load_corpus did: counts of parsed, kept, dropped, and repaired rows."""
 
     horizon: tuple[int, int]
-    publications_parsed: int = 0
-    publications_loaded: int = 0
-    dropped_out_of_horizon: int = 0
-    dropped_doc_type: int = 0
-    delineated: int = 0
-    unknown_cluster_count: int = 0
-    unknown_cluster_samples: list[tuple[str, str]] = field(default_factory=list)
-    unknown_areas: list[str] = field(default_factory=list)
-    career_source: str = "derived"
-    careers_total: int = 0
+    publications_parsed: int
+    publications_loaded: int
+    dropped_out_of_horizon: int
+    dropped_doc_type: int
+    delineated: int
+    unknown_cluster_count: int
+    unknown_cluster_samples: list[tuple[str, str]]
+    unknown_areas: list[str]
+    career_source: str  # "derived" or "supplied"
+    careers_total: int
 
     def summary_lines(self) -> list[str]:
         """The report of the `validate` subcommand, one count per line.
@@ -168,8 +182,7 @@ class LoadReport:
         return out
 
 
-@dataclass(slots=True)
-class TopicIndex:
+class TopicIndex(Record):
     """What a topic's publications say about its authors, from one pass.
 
     counts maps author_id -> {year: topic publications}, ordered by author_id
@@ -180,8 +193,12 @@ class TopicIndex:
     topic authors.
     """
 
-    counts: dict[str, dict[int, int]] = field(default_factory=dict)
-    clusters: dict[str, set[str]] = field(default_factory=dict)
+    __slots__ = _fields = ("counts", "clusters")
+
+    def __init__(self, counts: dict[str, dict[int, int]] | None = None,
+                 clusters: dict[str, set[str]] | None = None):
+        self.counts = {} if counts is None else counts
+        self.clusters = {} if clusters is None else clusters
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -219,22 +236,27 @@ class TopicIndex:
         return self
 
 
-@dataclass
-class Corpus:
+class Corpus(Record):
     """A loaded corpus: careers, cluster metadata, and one TopicIndex per
     topic the load indexed. No publication record is kept."""
 
-    careers: dict[str, AuthorCareer]
-    clusters: dict[str, ClusterMeta]
-    horizon: tuple[int, int]
-    topic_indexes: dict[str, TopicIndex]
-    load_report: LoadReport | None = None
-    # author -> career records within the horizon. author_profiles fills it
-    # for the topic authors it meets, so both sides of a same-corpus compare
-    # sum each career once and a load that indexes no topic sums none. It
-    # holds because careers and horizon do not change once a corpus is built.
-    horizon_totals: dict[str, int] = field(default_factory=dict, init=False, repr=False,
-                                           compare=False)
+    _fields = ("careers", "clusters", "horizon", "topic_indexes", "load_report")
+    __slots__ = _fields + ("horizon_totals",)
+
+    def __init__(self, careers: dict[str, AuthorCareer], clusters: dict[str, ClusterMeta],
+                 horizon: tuple[int, int], topic_indexes: dict[str, TopicIndex],
+                 load_report: LoadReport | None = None):
+        self.careers = careers
+        self.clusters = clusters
+        self.horizon = horizon
+        self.topic_indexes = topic_indexes
+        self.load_report = load_report
+        # author -> career records within the horizon, neither compared nor
+        # shown. author_profiles fills it for the topic authors it meets, so
+        # both sides of a same-corpus compare sum each career once and a load
+        # that indexes no topic sums none. It holds because careers and
+        # horizon do not change once a corpus is built.
+        self.horizon_totals: dict[str, int] = {}
 
     # Not a field: only perfbench/tracer.py reads it, to count delineation
     # candidates. Delete it when that tracer is replaced (ROADMAP item 1).
@@ -252,8 +274,7 @@ def _normalize(text: str) -> str:
     return " " + " ".join(_TOKEN_RE.findall(text.lower())) + " "
 
 
-@dataclass(frozen=True, slots=True)
-class _Terms:
+class _Terms(NamedTuple):
     phrases: tuple[str, ...]  # normalised, with sentinel spaces
     first_tokens: re.Pattern  # finds any phrase's first token in lowercased text
 
@@ -445,7 +466,6 @@ def load_corpus(
     """
     horizon = _check_horizon(horizon)
     y0, y1 = horizon
-    report = LoadReport(horizon=horizon)
 
     doc_type_filter = frozenset(doc_types) if doc_types is not None else None
     terms = _compile_terms(delineate_terms) if delineate_terms else None
@@ -453,14 +473,13 @@ def load_corpus(
         raise ValueError("delineate_terms requires delineate_topic")
 
     clusters: dict[str, ClusterMeta] = {}
+    bad_areas: list[str] = []
     if clusters_path is not None:
         clusters, bad_areas = load_clusters_csv(clusters_path)
-        report.unknown_areas = bad_areas
 
     careers: dict[str, AuthorCareer] | None = None
     if careers_path is not None:
         careers = load_careers_csv(careers_path)
-        report.career_source = "supplied"
 
     indexes = {topic: TopicIndex() for topic in topics}
     indexed = tuple(indexes.items())
@@ -474,6 +493,9 @@ def load_corpus(
     # ones included: derived careers are built from it, supplied ones checked
     # against it.
     observed: dict[str, dict[int, int]] = {}
+    # the LoadReport's counts, built into it once the file is read
+    parsed = dropped_doc_type = dropped_out_of_horizon = delineated = unknown_clusters = 0
+    unknown_samples: list[tuple[str, str]] = []
 
     source = str(publications_path)
     try:
@@ -527,13 +549,13 @@ def load_corpus(
                 if pub_id in seen_ids:
                     raise DuplicatePubIdError(source, line_no, pub_id)
                 seen_ids.add(pub_id)
-                report.publications_parsed += 1
+                parsed += 1
 
                 doc_type = raw.get("doc_type")
                 if doc_type is not None and (type(doc_type) is not str or not doc_type):
                     raise MalformedRecordError(source, line_no, "doc_type must be a non-empty string")
                 if doc_type_filter is not None and doc_type not in doc_type_filter:
-                    report.dropped_doc_type += 1
+                    dropped_doc_type += 1
                     continue
 
                 year = intern_year.setdefault(year, year)
@@ -545,7 +567,7 @@ def load_corpus(
                         by_year[year] = by_year.get(year, 0) + 1
 
                 if not y0 <= year <= y1:
-                    report.dropped_out_of_horizon += 1
+                    dropped_out_of_horizon += 1
                     continue
 
                 flags = raw.get("topic_flags")
@@ -580,9 +602,9 @@ def load_corpus(
                     elif cluster_id in clusters:
                         cluster_id = clusters[cluster_id].cluster_id
                     else:
-                        report.unknown_cluster_count += 1
-                        if len(report.unknown_cluster_samples) < _SAMPLE_CAP:
-                            report.unknown_cluster_samples.append((pub_id, cluster_id))
+                        unknown_clusters += 1
+                        if len(unknown_samples) < _SAMPLE_CAP:
+                            unknown_samples.append((pub_id, cluster_id))
                         cluster_id = None
 
                 if (
@@ -591,7 +613,7 @@ def load_corpus(
                     and _matches(terms, title, abstract, keywords)
                 ):
                     flags = [*flags, delineate_topic]
-                    report.delineated += 1
+                    delineated += 1
 
                 for topic, index in indexed:
                     if topic in flags:
@@ -599,9 +621,6 @@ def load_corpus(
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
 
-    report.publications_loaded = (
-        report.publications_parsed - report.dropped_doc_type - report.dropped_out_of_horizon
-    )
     del seen_ids, intern_year
     for _, index in indexed:
         index.sort_authors()
@@ -626,15 +645,29 @@ def load_corpus(
         if conflicts:
             conflicts.sort()
             raise CareerConflictError(conflicts)
-    report.careers_total = len(careers)
 
-    if report.unknown_cluster_count:
-        log.warning(
+    if unknown_clusters:
+        import logging  # only a load that warns pays for this import at start-up
+
+        logging.getLogger(__name__).warning(
             "%d publication(s) referenced unknown clusters; references cleared (e.g. %s)",
-            report.unknown_cluster_count,
-            report.unknown_cluster_samples[:3],
+            unknown_clusters,
+            unknown_samples[:3],
         )
 
+    report = LoadReport(
+        horizon=horizon,
+        publications_parsed=parsed,
+        publications_loaded=parsed - dropped_doc_type - dropped_out_of_horizon,
+        dropped_out_of_horizon=dropped_out_of_horizon,
+        dropped_doc_type=dropped_doc_type,
+        delineated=delineated,
+        unknown_cluster_count=unknown_clusters,
+        unknown_cluster_samples=unknown_samples,
+        unknown_areas=bad_areas,
+        career_source="derived" if careers_path is None else "supplied",
+        careers_total=len(careers),
+    )
     return Corpus(careers, clusters, horizon, indexes, load_report=report)
 
 

@@ -16,11 +16,11 @@ exact variance, is a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohorts import topic_activity
-from .corpus import Corpus, MissingCareerError
+from .corpus import Corpus, MissingCareerError, Record
 from .rounding import _sum_over_lcm, mean, mean_exact, percent
 
 TOTAL_RATIO = "total"
@@ -40,16 +40,29 @@ def check_focus_mode(value: str) -> None:
         raise ValueError(f"focus mode must be one of {list(FOCUS_MODES)}, got {value!r}")
 
 
-@dataclass(slots=True)
-class AuthorProfile:
-    author_id: str
-    first_year: int  # first publication ever
-    entry_year: int  # first topic publication
-    topic_counts: dict[int, int]  # per-year topic production, year order; the index's own dict
-    career_counts: dict[int, int]  # total output in each topic year
-    production_total: int
-    focus_overall: Fraction
-    entry_lag: int  # entry_year - first_year
+class AuthorProfile(Record):
+    __slots__ = _fields = ("author_id", "first_year", "entry_year", "topic_counts",
+                           "career_counts", "production_total", "focus_overall", "entry_lag")
+
+    def __init__(
+        self,
+        author_id: str,
+        first_year: int,  # first publication ever
+        entry_year: int,  # first topic publication
+        topic_counts: dict[int, int],  # per-year topic production, year order; the index's own dict
+        career_counts: dict[int, int],  # total output in each topic year
+        production_total: int,
+        focus_overall: Fraction,
+        entry_lag: int,  # entry_year - first_year
+    ):
+        self.author_id = author_id
+        self.first_year = first_year
+        self.entry_year = entry_year
+        self.topic_counts = topic_counts
+        self.career_counts = career_counts
+        self.production_total = production_total
+        self.focus_overall = focus_overall
+        self.entry_lag = entry_lag
 
     @property
     def focus_by_year(self) -> dict[int, Fraction]:
@@ -114,8 +127,7 @@ def author_profiles(
     return profiles
 
 
-@dataclass(slots=True)
-class YearIndicatorSummary:
+class YearIndicatorSummary(NamedTuple):
     """Means over the authors active on the topic in one year.
 
     Absent groups yield None cells. focus_ci95 is the 95% half-width of the
@@ -203,8 +215,7 @@ def year_summaries(
     return [_year_summary(y, active[y]) for y in range(y0, y1 + 1)]
 
 
-@dataclass(slots=True)
-class ProductionBand:
+class ProductionBand(NamedTuple):
     label: str
     low: int
     high: int | None

@@ -15,20 +15,16 @@ entries are pooled.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohorts import check_stay_window, stays
 from .corpus import Corpus, TopicIndex
 from .indicators import AuthorProfile
 from .rounding import mean, mean_exact, percent
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(slots=True)
-class ClusterOverlayRow:
+class ClusterOverlayRow(NamedTuple):
     cluster_id: str
     label: str
     area: str
@@ -45,8 +41,7 @@ class ClusterOverlayRow:
     metadata_conflict: bool  # n_topic_authors exceeds total_authors
 
 
-@dataclass(slots=True)
-class AreaRollup:
+class AreaRollup(NamedTuple):
     area: str
     n_clusters: int
     n_authors: int  # deduplicated within the area
@@ -60,6 +55,13 @@ class AreaRollup:
     top_cluster_id: str | None  # max p_au
     top_cluster_label: str | None
     top_cluster_p_au: Fraction | None
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning; only a run that warns pays for importing logging."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _stay_status(
@@ -115,12 +117,12 @@ def cluster_overlay(
         n = len(group)
         conflict = n > meta.total_authors
         if conflict:
-            log.warning(
+            _warn(
                 "cluster %s: %d topic authors exceed total_authors=%d (metadata conflict)",
                 cluster_id, n, meta.total_authors,
             )
         if meta.total_authors == 0:
-            log.warning("cluster %s: total_authors is 0, p_au omitted", cluster_id)
+            _warn("cluster %s: total_authors is 0, p_au omitted", cluster_id)
             p_au = None
         else:
             p_au = percent(n, meta.total_authors)

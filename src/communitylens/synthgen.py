@@ -21,11 +21,10 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus import RESEARCH_AREAS
+from .corpus import RESEARCH_AREAS, Record
 
 _PUB_KEYS = ("pub_id", "year", "authors", "topic_flags", "cluster_id")
 
@@ -36,38 +35,38 @@ class InfeasibleConfigError(ValueError):
         self.problems = list(problems)
 
 
-@dataclass
-class GeneratorConfig:
-    seed: int = 0
-    horizon: tuple[int, int] = (2008, 2017)
-    authors_per_year: dict[int, int] = field(default_factory=dict)
-    p_newborn: float = 0.35
-    stay_prob: float = 0.16
-    lotka_alpha: float = 2.0
-    n_clusters: int = 0
-    n_areas: int = 1
-    topic_share: float = 0.6
-    topic: str = "topic"
-    stay_window: int = 2
-    max_production: int = 10_000
-    career_back_max: int = 15
+class GeneratorConfig(Record):
+    __slots__ = _fields = (
+        "seed", "horizon", "authors_per_year", "p_newborn", "stay_prob", "lotka_alpha",
+        "n_clusters", "n_areas", "topic_share", "topic", "stay_window", "max_production",
+        "career_back_max",
+    )
+
+    # authors_per_year=None gives each config its own empty dict
+    def __init__(self, seed: int = 0, horizon: tuple[int, int] = (2008, 2017),
+                 authors_per_year: dict[int, int] | None = None, p_newborn: float = 0.35,
+                 stay_prob: float = 0.16, lotka_alpha: float = 2.0, n_clusters: int = 0,
+                 n_areas: int = 1, topic_share: float = 0.6, topic: str = "topic",
+                 stay_window: int = 2, max_production: int = 10_000, career_back_max: int = 15):
+        self.seed = seed
+        self.horizon = horizon
+        self.authors_per_year = {} if authors_per_year is None else authors_per_year
+        self.p_newborn = p_newborn
+        self.stay_prob = stay_prob
+        self.lotka_alpha = lotka_alpha
+        self.n_clusters = n_clusters
+        self.n_areas = n_areas
+        self.topic_share = topic_share
+        self.topic = topic
+        self.stay_window = stay_window
+        self.max_production = max_production
+        self.career_back_max = career_back_max
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "horizon": list(self.horizon),
-            "authors_per_year": {str(y): n for y, n in sorted(self.authors_per_year.items())},
-            "p_newborn": self.p_newborn,
-            "stay_prob": self.stay_prob,
-            "lotka_alpha": self.lotka_alpha,
-            "n_clusters": self.n_clusters,
-            "n_areas": self.n_areas,
-            "topic_share": self.topic_share,
-            "topic": self.topic,
-            "stay_window": self.stay_window,
-            "max_production": self.max_production,
-            "career_back_max": self.career_back_max,
-        }
+        out = {name: getattr(self, name) for name in self._fields}
+        out["horizon"] = list(self.horizon)
+        out["authors_per_year"] = {str(y): n for y, n in sorted(self.authors_per_year.items())}
+        return out
 
 
 class ProductionSampler:
@@ -140,8 +139,7 @@ def _check(config: GeneratorConfig) -> ProductionSampler:
     return sampler
 
 
-@dataclass
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """True counts recorded while generating, independent of the pipeline."""
 
     config: dict

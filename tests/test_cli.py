@@ -1,10 +1,18 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from communitylens.cli import main
+import communitylens
+from communitylens.cli import _SUBCOMMANDS, build_parser, main
 from communitylens.reports import sha256_file, sha256_text
+
+# a fresh interpreter imports the same source tree as this test process
+SRC = str(Path(communitylens.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(autouse=True)
@@ -509,3 +517,37 @@ def test_cohorts_raw_columns(bd2012_paths, tmp_path):
     header = (out / "cohorts.csv").read_text().splitlines()[0]
     assert header.startswith("N_AU,N_old,N_new,N_newborn,N_stay,P_old,P_new,P_newborn,P_stay")
     assert "raw" in header
+
+
+def fresh_python(*args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=True, **kwargs)
+
+
+def test_startup_imports_no_dataclasses_inspect_or_logging():
+    code = ("import sys; before = set(sys.modules); import communitylens.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)))")
+    assert fresh_python("-c", code).stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in _SUBCOMMANDS] + [["--help"]])
+def test_help_matches_the_parser_with_every_flag(capsys, argv):
+    assert main(argv) == 0
+    shown = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert shown == capsys.readouterr()
+    assert shown.out.startswith("usage: communitylens")
+
+
+def test_unknown_cluster_warning_reaches_stderr_once(tmp_path):
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text('{"pub_id": "p1", "year": 2012, "authors": ["a"], "cluster_id": "k9"}\n')
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,label,area,total_authors,x,y\nk1,x,Alchemy,5,,\n")
+    code = "import sys; from communitylens.cli import main; sys.exit(main())"
+    proc = fresh_python("-c", code, "validate", "--corpus", str(pubs), "--clusters", str(clusters))
+    assert proc.stderr.count("referenced unknown clusters; references cleared") == 1
+    assert "unknown cluster references repaired: 1" in proc.stdout

@@ -1,13 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from communitylens.classify import QuadrantAssignment
 from communitylens.corpus import (
     _TOKEN_RE,
     _compile_terms,
     _matches,
     _normalize,
+    AuthorCareer,
     CareerConflictError,
     DuplicatePubIdError,
     MalformedRecordError,
@@ -18,6 +21,7 @@ from communitylens.corpus import (
     write_careers_csv,
     write_clusters_csv,
 )
+from communitylens.indicators import AuthorProfile
 
 from oracles import make_corpus
 
@@ -580,3 +584,27 @@ def test_clusters_round_trip(tmp_path):
     again, bad = load_clusters_csv(path)
     assert again == corpus.clusters
     assert bad == []
+
+
+# --- slotted records -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls, values", [
+    (AuthorCareer, ("a1", 2008, {2008: 2})),
+    (AuthorProfile, ("a1", 2008, 2010, {2010: 1}, {2010: 4}, 1, Fraction(25), 2)),
+    (QuadrantAssignment, ("a1", "casual", 3, Fraction(1, 3))),
+])
+def test_slotted_record_equality_and_repr(cls, values):
+    record = cls(*values)
+    assert record == cls(*values)
+    assert not record != cls(*values)
+    for i in range(len(values)):
+        changed = list(values)
+        changed[i] = "other"
+        assert record != cls(*changed)
+    assert record != values  # unlike a NamedTuple, never equal to a plain tuple
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    assert cls(**dict(zip(cls._fields, values))) == record
+    with pytest.raises(AttributeError):
+        record.extra = 1  # slots: no attribute beyond the fields

@@ -145,6 +145,13 @@ def test_ground_truth_json_round_trip(tmp_path):
     assert parsed["per_year"]["2017"]["n_stay"] is None
 
 
+def test_configs_do_not_share_entrant_counts():
+    a, b = GeneratorConfig(), GeneratorConfig()
+    a.authors_per_year[2010] = 5
+    assert b.authors_per_year == {}
+    assert a != b and GeneratorConfig() == b
+
+
 def test_sampler_bounds_and_one_share():
     sampler = ProductionSampler(2.0, 10_000)
     # truncated zeta(2) mass at k=1 is a shade above 1/zeta(2)
