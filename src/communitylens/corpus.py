@@ -350,17 +350,22 @@ def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[s
     defect of the file, an undecodable byte included, is a MalformedRecordError.
     """
     source = str(path)
+    width = len(header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            if next(reader, None) != header:
-                raise MalformedRecordError(source, 1, f"expected header {','.join(header)}")
+            first = next(reader, None)
+            if first != header:
+                reason = f"expected header {','.join(header)}"
+                if first and first[0].startswith("\ufeff"):
+                    reason = f"unexpected UTF-8 BOM before the header; {reason}"
+                raise MalformedRecordError(source, 1, reason)
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
+                if len(row) != width:
+                    if not row:
+                        continue
                     raise MalformedRecordError(
-                        source, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                        source, reader.line_num, f"expected {width} columns, got {len(row)}"
                     )
                 yield reader.line_num, row
         except csv.Error as exc:
@@ -369,39 +374,60 @@ def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[s
             raise _undecodable_line(source, newline="") from None
 
 
+def _career_values(source: str, line_no: int, row: list[str], years: dict[str, int],
+                   counts: dict[str, int]) -> tuple[int, int, int]:
+    """Check the yfp, year and count of a careers row, in the order that
+    names the first defect; remember each string accepted as a year in
+    ``years`` and as a count in ``counts``."""
+    try:
+        yfp, year, count = int(row[1]), int(row[2]), int(row[3])
+    except ValueError:
+        raise MalformedRecordError(source, line_no, f"non-integer value in {row[1:]}") from None
+    if count < 0:
+        raise MalformedRecordError(source, line_no, f"negative count {count}")
+    if not (1 <= yfp <= 9999 and 1 <= year <= 9999):
+        raise MalformedRecordError(
+            source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
+        )
+    counts[row[3]] = count
+    return years.setdefault(row[1], yfp), years.setdefault(row[2], year), count
+
+
 def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
-    """Parse a long-format careers file into one AuthorCareer per author."""
+    """Parse a long-format careers file into one AuthorCareer per author.
+
+    Each distinct field string is checked once: a row whose three values were
+    accepted before costs three lookups, and each distinct year string is one
+    int object. An author's rows need not be adjacent; a row that repeats the
+    previous row's author_id reuses its career.
+    """
     careers: dict[str, AuthorCareer] = {}
     conflicts: list[tuple[str, str]] = []
-    intern_year: dict[int, int] = {}  # one int object per distinct year
+    years: dict[str, int] = {}  # field string -> year, for strings valid as yfp or year
+    counts: dict[str, int] = {}  # field string -> count, for strings valid as count
     source = str(path)
+    last_id = None
     for line_no, row in _csv_rows(path, _CAREERS_HEADER):
-        author_id = row[0]
+        author_id, yfp_raw, year_raw, count_raw = row
         if not author_id:
             raise MalformedRecordError(source, line_no, "empty author_id")
         try:
-            yfp, year, count = int(row[1]), int(row[2]), int(row[3])
-        except ValueError:
-            raise MalformedRecordError(source, line_no, f"non-integer value in {row[1:]}") from None
-        if count < 0:
-            raise MalformedRecordError(source, line_no, f"negative count {count}")
-        if not (1 <= yfp <= 9999 and 1 <= year <= 9999):
-            raise MalformedRecordError(
-                source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
-            )
-        year = intern_year.setdefault(year, year)
-        career = careers.get(author_id)
-        if career is None:
-            yfp = intern_year.setdefault(yfp, yfp)
-            career = careers[author_id] = AuthorCareer(author_id, yfp, {})
-        elif career.first_year != yfp:
-            reason = f"inconsistent yfp {career.first_year} vs {yfp}"
+            yfp, year, count = years[yfp_raw], years[year_raw], counts[count_raw]
+        except KeyError:
+            yfp, year, count = _career_values(source, line_no, row, years, counts)
+        if author_id != last_id:
+            career = careers.get(author_id)
+            if career is None:
+                career = careers[author_id] = AuthorCareer(author_id, yfp, {})
+            last_id, first_year, pubs_by_year = author_id, career.first_year, career.pubs_by_year
+        if yfp != first_year:
+            reason = f"inconsistent yfp {first_year} vs {yfp}"
             conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
         if count:
-            if year < career.first_year:
-                reason = f"count in {year} precedes yfp {career.first_year}"
+            if year < first_year:
+                reason = f"count in {year} precedes yfp {first_year}"
                 conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
-            career.pubs_by_year[year] = career.pubs_by_year.get(year, 0) + count
+            pubs_by_year[year] = pubs_by_year.get(year, 0) + count
     for author_id, career in careers.items():
         if not career.pubs_by_year:
             conflicts.append((author_id, "no positive publication counts"))
@@ -628,7 +654,7 @@ def load_corpus(
     if careers is None:
         careers = {a: AuthorCareer(a, min(by_year), by_year) for a, by_year in observed.items()}
     else:
-        missing = [a for a in observed if a not in careers]
+        missing = observed.keys() - careers.keys()
         if missing:
             raise MissingCareerError(sorted(missing))
         conflicts: list[tuple[str, str]] = []

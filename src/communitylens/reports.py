@@ -14,7 +14,6 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -287,10 +286,14 @@ def emit_fields_csv(fields: Iterable[tuple[str, object]]) -> str:
 
 
 def sha256_text(text: str) -> str:
+    import hashlib  # only a run that writes a manifest pays for OpenSSL at start-up
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -16,11 +16,15 @@ import random
 from fractions import Fraction
 
 from communitylens.corpus import (
+    _CAREERS_HEADER,
     AuthorCareer,
+    CareerConflictError,
     ClusterMeta,
     Corpus,
+    MalformedRecordError,
     TopicIndex,
     _compile_terms,
+    _csv_rows,
     _matches,
 )
 
@@ -151,6 +155,51 @@ def oracle_careers(publications_path, doc_types=None):
             for a in rec["authors"]:
                 by_year = careers.setdefault(a, {})
                 by_year[rec["year"]] = by_year.get(rec["year"], 0) + 1
+    return careers
+
+
+def oracle_careers_csv(path):
+    """The careers loader as it was before it remembered checked values:
+    every row parses and checks its three values and looks its author up.
+    It reads rows through the loader's own _csv_rows, so only the per-row
+    checks and the career updates are compared."""
+    careers: dict[str, AuthorCareer] = {}
+    conflicts: list[tuple[str, str]] = []
+    intern_year: dict[int, int] = {}  # one int object per distinct year
+    source = str(path)
+    for line_no, row in _csv_rows(path, _CAREERS_HEADER):
+        author_id = row[0]
+        if not author_id:
+            raise MalformedRecordError(source, line_no, "empty author_id")
+        try:
+            yfp, year, count = int(row[1]), int(row[2]), int(row[3])
+        except ValueError:
+            raise MalformedRecordError(source, line_no, f"non-integer value in {row[1:]}") from None
+        if count < 0:
+            raise MalformedRecordError(source, line_no, f"negative count {count}")
+        if not (1 <= yfp <= 9999 and 1 <= year <= 9999):
+            raise MalformedRecordError(
+                source, line_no, f"yfp and year must be in 1..9999, got {yfp} and {year}"
+            )
+        year = intern_year.setdefault(year, year)
+        career = careers.get(author_id)
+        if career is None:
+            yfp = intern_year.setdefault(yfp, yfp)
+            career = careers[author_id] = AuthorCareer(author_id, yfp, {})
+        elif career.first_year != yfp:
+            reason = f"inconsistent yfp {career.first_year} vs {yfp}"
+            conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
+        if count:
+            if year < career.first_year:
+                reason = f"count in {year} precedes yfp {career.first_year}"
+                conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
+            career.pubs_by_year[year] = career.pubs_by_year.get(year, 0) + count
+    for author_id, career in careers.items():
+        if not career.pubs_by_year:
+            conflicts.append((author_id, "no positive publication counts"))
+    if conflicts:
+        conflicts.sort()
+        raise CareerConflictError(conflicts)
     return careers
 
 

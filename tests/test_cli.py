@@ -331,6 +331,19 @@ def test_validate_broken_file_exits_1(tmp_path, capsys):
     assert "invalid corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--careers", "author_id,yfp,year,count\na,2012,2012,1\n"),
+    ("--clusters", "cluster_id,label,area,total_authors,x,y\nk1,x,Alchemy,5,,\n"),
+], ids=["careers", "clusters"])
+def test_csv_byte_order_mark_is_named(tmp_path, capsys, flag, text):
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text('{"pub_id": "p1", "year": 2012, "authors": ["a"]}\n')
+    csv_path = tmp_path / "input.csv"
+    csv_path.write_text("\ufeff" + text, encoding="utf-8")
+    assert main(["validate", "--corpus", str(pubs), flag, str(csv_path)]) == 1
+    assert f"{csv_path}, line 1: unexpected UTF-8 BOM before the header" in capsys.readouterr().err
+
+
 def test_validate_reports_load_accounting(tmp_path, capsys):
     pubs = tmp_path / "pubs.jsonl"
     pubs.write_text(
@@ -528,7 +541,7 @@ def fresh_python(*args, **kwargs):
 
 def test_startup_imports_no_dataclasses_inspect_or_logging():
     code = ("import sys; before = set(sys.modules); import communitylens.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'hashlib', 'inspect', 'logging'} & (set(sys.modules) - before)))")
     assert fresh_python("-c", code).stdout == "[]\n"
 
 

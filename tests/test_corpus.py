@@ -321,6 +321,38 @@ def test_careers_years_out_of_range(tmp_path, row):
     assert "1..9999" in str(err.value)
 
 
+@pytest.mark.parametrize("row", [("a1", 0, 2005, 1), ("a1", 2005, 0, 1),
+                                 ("a1", 10000, 2005, 1), ("a1", 2005, 10000, 1)])
+def test_count_values_are_not_years(tmp_path, row):
+    # "0" and "10000" are accepted as counts first, and still fail as years
+    # in a row whose other values were all accepted before
+    path = careers_csv(tmp_path, [("a0", 2005, 2005, 0), ("a0", 2005, 2006, 10000),
+                                  ("a0", 2005, 2007, 1), row])
+    with pytest.raises(MalformedRecordError) as err:
+        load_careers_csv(path)
+    assert err.value.line == 5
+    assert err.value.reason == f"yfp and year must be in 1..9999, got {row[1]} and {row[2]}"
+
+
+def test_careers_split_author_loads_like_sorted(tmp_path):
+    split = careers_csv(tmp_path, [("a1", 2005, 2012, 3), ("a2", 2006, 2006, 1),
+                                   ("a1", 2005, 2005, 1), ("a1", 2005, 2012, 2)])
+    split_careers = load_careers_csv(split)
+    grouped = careers_csv(tmp_path, [("a1", 2005, 2012, 3), ("a1", 2005, 2005, 1),
+                                     ("a1", 2005, 2012, 2), ("a2", 2006, 2006, 1)])
+    grouped_careers = load_careers_csv(grouped)
+    assert split_careers == grouped_careers
+    assert list(split_careers["a1"].pubs_by_year.items()) == [(2012, 5), (2005, 1)]
+
+
+def test_careers_yfp_mismatch_after_split_names_its_line(tmp_path):
+    path = careers_csv(tmp_path, [("a1", 2005, 2005, 1), ("a2", 2006, 2006, 1),
+                                  ("a1", 2004, 2005, 1)])
+    with pytest.raises(CareerConflictError) as err:
+        load_careers_csv(path)
+    assert err.value.conflicts == [("a1", f"inconsistent yfp 2005 vs 2004 ({path}, line 4)")]
+
+
 def test_careers_no_positive_counts(tmp_path):
     path = careers_csv(tmp_path, [("a1", 2005, 2005, 0)])
     with pytest.raises(CareerConflictError):

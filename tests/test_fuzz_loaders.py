@@ -24,6 +24,7 @@ from communitylens.corpus import (
     load_corpus,
 )
 
+from oracles import oracle_careers_csv
 from test_streaming import assert_indexes_match, assert_same_load
 
 _CAREERS_HEADER = "author_id,yfp,year,count"
@@ -257,3 +258,45 @@ def test_streamed_load_fails_like_kept_load(tmp_path_factory, pubs, careers, clu
     else:
         assert_same_load(unindexed, indexed)
         assert_indexes_match(indexed, ("t", "u"), paths[0], paths[2], **kwargs)
+
+
+# --- the careers loader against its per-row oracle ---------------------------------
+
+# Each string is valid in some careers column and not in another ("0" and
+# "10000" are counts but not years), or spells a valid year the way int()
+# reads it, so a loader that remembered a checked value for the wrong column
+# would accept a bad row or reject a good one.
+_CAREER_CELLS = ["0", "-1", "9999", "10000", " 2005", "+2005", "2_005", "٢٠٠٥", "2005.0", ""]
+# plausible cells, the pool's own among them, so most rows load
+_CAREER_GOOD = (
+    st.sampled_from(["a", "b", "c"]),  # authors interleave
+    st.sampled_from(["2005", " 2005", "+2005", "2_005", "٢٠٠٥"]),
+    st.sampled_from(["2005", "2010", "9999", " 2005", "+2005"]),
+    st.sampled_from(["1", "3", "0", "10000", "9999", "2_005"]),
+)
+
+
+@st.composite
+def career_row(draw):
+    return [draw(st.sampled_from(_CAREER_CELLS) if draw(st.integers(0, 3)) == 0 else good)
+            for good in _CAREER_GOOD]
+
+
+def careers_outcome(load, path):
+    """Each career's first year and (year, count) pairs in order, in author
+    order; or the error's type, text and line."""
+    try:
+        careers = load(path)
+    except CorpusError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(a, c.first_year, list(c.pubs_by_year.items())) for a, c in careers.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(career_row(), max_size=8))
+def test_careers_loader_matches_per_row_oracle(tmp_path_factory, rows):
+    path = scratch(tmp_path_factory, "careers.csv")
+    path.write_text("".join(f"{','.join(row)}\n" for row in [_CAREERS_HEADER.split(",")] + rows),
+                    encoding="utf-8")
+    assert careers_outcome(load_careers_csv, str(path)) == careers_outcome(oracle_careers_csv,
+                                                                           str(path))
