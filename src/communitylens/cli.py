@@ -25,7 +25,7 @@ from . import __version__
 from .classify import RULES, DegenerateDistributionError, classify_authors, resolve_thresholds
 from .cohorts import STAY_DENOMINATORS, TopicIndex, UnknownTopicError, cohort_series, topic_activity
 from .compare import compare, comparison_files
-from .corpus import Corpus, CorpusError, load_corpus
+from .corpus import DEFAULT_HORIZON, Corpus, CorpusError, load_corpus
 from .indicators import (
     FOCUS_MODES,
     AuthorProfile,
@@ -50,6 +50,7 @@ from .reports import (
     emit_quadrant_summary_csv,
     emit_thresholds_json,
     sha256_file,
+    sha256_text,
     write_run,
 )
 from .synthgen import GeneratorConfig, InfeasibleConfigError, generate
@@ -161,7 +162,7 @@ _FLAGS = {
     "--careers": dict(help="careers CSV path"),
     "--clusters": dict(help="clusters CSV path"),
     "--topic": dict(help="topic label"),
-    "--horizon": dict(type=_horizon, default="2008:2017", metavar="Y0:Y1"),
+    "--horizon": dict(type=_horizon, default="%d:%d" % DEFAULT_HORIZON, metavar="Y0:Y1"),
     "--doc-types": dict(metavar="A,B", help="keep only these doc_type values"),
     "--terms": dict(metavar="T1,T2", help="delineate --topic by matching these phrases"),
     "--threads": dict(type=_positive_int, default=1, metavar="N",
@@ -281,8 +282,8 @@ def _inputs(args: argparse.Namespace) -> dict[str, str]:
 
 def _finish(args: argparse.Namespace, files: dict[str, str]) -> int:
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "subcommand"}
-    files = dict(files)
-    files["manifest.json"] = build_manifest(args.subcommand, flags, _inputs(args), files)
+    outputs = {name: sha256_text(text) for name, text in files.items()}
+    files["manifest.json"] = build_manifest(args.subcommand, flags, _inputs(args), outputs)
     write_run(args.out, files)
     return 0
 
@@ -426,19 +427,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     truth = generate(config, args.out)
     out = Path(args.out)
-    outputs = {}
-    for name in ("publications.jsonl", "careers.csv", "clusters.csv", "ground_truth.json"):
-        if (out / name).exists():
-            outputs[name] = sha256_file(out / name)
-    manifest = {
-        "tool": "communitylens",
-        "version": __version__,
-        "subcommand": "synth",
-        "config": config.as_dict(),
-        "inputs": {},
-        "outputs": outputs,
-    }
-    atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    names = ["publications.jsonl", "careers.csv", "ground_truth.json"]
+    if config.n_clusters:
+        names.append("clusters.csv")
+    outputs = {name: sha256_file(out / name) for name in names}
+    atomic_write_text(out / "manifest.json", build_manifest("synth", config.as_dict(), {}, outputs))
     print(
         f"generated {truth.n_publications} publications, {truth.n_authors} authors -> {out}",
         file=sys.stderr,

@@ -131,11 +131,11 @@ def compare(
     side_b = _build_side(other, topic_b, stay_window, stay_denominator, focus_mode)
 
     if pooled_thresholds:
-        pooled = dict(side_a.profiles)
         # Authors in both communities carry per-topic values; pooling feeds
         # both value sets into one cutoff resolution.
-        for author_id, profile in side_b.profiles.items():
-            pooled[f"{author_id}\x00b"] = profile
+        pooled = {(name, author_id): profile
+                  for name, side in (("a", side_a), ("b", side_b))
+                  for author_id, profile in side.profiles.items()}
         cuts = [_thresholds_or_note(pooled, threshold_rule)] * 2
     else:
         cuts = [_thresholds_or_note(side.profiles, threshold_rule) for side in (side_a, side_b)]

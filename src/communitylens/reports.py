@@ -315,14 +315,15 @@ def build_manifest(
     inputs: dict[str, str | Path],
     outputs: dict[str, str],
 ) -> str:
-    """Run manifest: configuration verbatim plus digests of inputs and outputs."""
+    """Run manifest: configuration verbatim, digests of the input paths, and
+    the outputs' digests as given (name -> sha256 hex)."""
     manifest = {
         "tool": "communitylens",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
         "inputs": {name: sha256_file(path) for name, path in sorted(inputs.items())},
-        "outputs": {name: sha256_text(text) for name, text in sorted(outputs.items())},
+        "outputs": outputs,
     }
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 

@@ -1,9 +1,10 @@
 """Synthetic corpus generation with a controlled ground-truth ledger.
 
 The generator plants known per-year cohort counts, a known stay probability,
-and a Lotka-tailed productivity distribution, then writes corpus files in the
-standard formats plus ground_truth.json computed during generation,
-independently of the analysis pipeline. Deterministic given the seed.
+and a Lotka-tailed productivity distribution, then writes the corpus files
+(careers and clusters through the corpus module's writers) plus
+ground_truth.json computed during generation, independently of the analysis
+pipeline. Deterministic given the seed.
 
 Per-author productivity k is drawn from a discrete power law p(k) ~ k^-alpha
 on the truncated support [1, max_production]. A new entrant in year y stays
@@ -24,9 +25,16 @@ import random
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import RESEARCH_AREAS, Record
-
-_PUB_KEYS = ("pub_id", "year", "authors", "topic_flags", "cluster_id")
+from .corpus import (
+    DEFAULT_HORIZON,
+    RESEARCH_AREAS,
+    AuthorCareer,
+    ClusterMeta,
+    Record,
+    write_careers_csv,
+    write_clusters_csv,
+)
+from .reports import atomic_write_text
 
 
 class InfeasibleConfigError(ValueError):
@@ -43,7 +51,7 @@ class GeneratorConfig(Record):
     )
 
     # authors_per_year=None gives each config its own empty dict
-    def __init__(self, seed: int = 0, horizon: tuple[int, int] = (2008, 2017),
+    def __init__(self, seed: int = 0, horizon: tuple[int, int] = DEFAULT_HORIZON,
                  authors_per_year: dict[int, int] | None = None, p_newborn: float = 0.35,
                  stay_prob: float = 0.16, lotka_alpha: float = 2.0, n_clusters: int = 0,
                  n_areas: int = 1, topic_share: float = 0.6, topic: str = "topic",
@@ -114,6 +122,12 @@ def _check(config: GeneratorConfig) -> ProductionSampler:
         problems.append(f"max_production {config.max_production} must be >= 2")
     if config.career_back_max < 1:
         problems.append(f"career_back_max {config.career_back_max} must be >= 1")
+    # the loader takes years in 1..9999, a first career year included
+    if y0 - config.career_back_max < 1:
+        problems.append(f"horizon start {y0} minus career_back_max {config.career_back_max} "
+                        f"is before year 1")
+    if y1 > 9999:
+        problems.append(f"horizon end {y1} is after year 9999")
     if config.n_clusters < 0:
         problems.append(f"n_clusters {config.n_clusters} must be >= 0")
     if config.n_clusters > 0 and not 1 <= config.n_areas <= min(len(RESEARCH_AREAS), config.n_clusters):
@@ -198,17 +212,14 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> GroundTruth:
     n_pubs = 0
     stay_eligible = 0
     stay_true = 0
+    careers: dict[str, AuthorCareer] = {}
     cluster_authors: list[set[str]] | None = None
     if config.n_clusters:
         cluster_authors = [set() for _ in range(config.n_clusters)]
 
     pubs_tmp = out / "publications.jsonl.tmp"
-    careers_tmp = out / "careers.csv.tmp"
     dumps = json.dumps
-    with open(pubs_tmp, "w", encoding="utf-8", newline="\n") as pub_fh, open(
-        careers_tmp, "w", encoding="utf-8", newline="\n"
-    ) as car_fh:
-        car_fh.write("author_id,yfp,year,count\n")
+    with open(pubs_tmp, "w", encoding="utf-8", newline="\n") as pub_fh:
         for y in years:
             entrants = config.authors_per_year.get(y, 0)
             determined = y + window <= y1
@@ -220,25 +231,17 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> GroundTruth:
                 topic_years = {y: 1}
                 stays = False
                 if k > 1:
+                    allowed, draws = range(y, y1 + 1), k - 1
                     if determined:
                         stays = rng.random() < q_stay
-                        if stays:
-                            follow = rng.randint(y + 1, y + window)
-                            topic_years[follow] = 1
-                            allowed = list(range(y, y1 + 1))
-                            for _ in range(k - 2):
-                                t = allowed[rng.randrange(len(allowed))]
-                                topic_years[t] = topic_years.get(t, 0) + 1
+                        if stays:  # one follow-up inside the window, the rest anywhere
+                            topic_years[rng.randint(y + 1, y + window)] = 1
+                            draws = k - 2
                         else:
-                            allowed = [y] + list(range(y + window + 1, y1 + 1))
-                            for _ in range(k - 1):
-                                t = allowed[rng.randrange(len(allowed))]
-                                topic_years[t] = topic_years.get(t, 0) + 1
-                    else:
-                        allowed = list(range(y, y1 + 1))
-                        for _ in range(k - 1):
-                            t = allowed[rng.randrange(len(allowed))]
-                            topic_years[t] = topic_years.get(t, 0) + 1
+                            allowed = [y, *range(y + window + 1, y1 + 1)]
+                    for _ in range(draws):
+                        t = allowed[rng.randrange(len(allowed))]
+                        topic_years[t] = topic_years.get(t, 0) + 1
 
                 active = sorted(topic_years)
                 for t in active:
@@ -260,23 +263,14 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> GroundTruth:
 
                 for t in active:
                     for _ in range(topic_years[t]):
-                        pub_id = f"p{n_pubs:09d}"
+                        record = {"pub_id": f"p{n_pubs:09d}", "year": t, "authors": [author_id],
+                                  "topic_flags": [topic]}
                         n_pubs += 1
-                        if cluster_authors is None:
-                            line = dumps(
-                                {"pub_id": pub_id, "year": t, "authors": [author_id],
-                                 "topic_flags": [topic]},
-                                separators=(",", ":"),
-                            )
-                        else:
+                        if cluster_authors is not None:
                             c = rng.randrange(config.n_clusters)
                             cluster_authors[c].add(author_id)
-                            line = dumps(
-                                {"pub_id": pub_id, "year": t, "authors": [author_id],
-                                 "topic_flags": [topic], "cluster_id": f"c{c:05d}"},
-                                separators=(",", ":"),
-                            )
-                        pub_fh.write(line)
+                            record["cluster_id"] = f"c{c:05d}"
+                        pub_fh.write(dumps(record, separators=(",", ":")))
                         pub_fh.write("\n")
 
                 # Career rows: topic output plus proportional off-topic output,
@@ -288,25 +282,26 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> GroundTruth:
                         career_rows[t] = c + round(c * (1 - share) / share)
                 if not newborn:
                     career_rows[first_year] = career_rows.get(first_year, 0) + 1
-                for t in sorted(career_rows):
-                    car_fh.write(f"{author_id},{first_year},{t},{career_rows[t]}\n")
+                careers[author_id] = AuthorCareer(author_id, first_year, career_rows)
 
     os.replace(pubs_tmp, out / "publications.jsonl")
-    os.replace(careers_tmp, out / "careers.csv")
+    tmp = out / "careers.csv.tmp"
+    write_careers_csv(tmp, careers)
+    os.replace(tmp, out / "careers.csv")
 
     if cluster_authors is not None:
-        lines = ["cluster_id,label,area,total_authors,x,y"]
+        clusters = {}
         for c in range(config.n_clusters):
             observed = len(cluster_authors[c])
             uplift = 2.0 + 13.0 * rng.random()
             total = max(observed, math.ceil(observed * uplift)) if observed else rng.randint(0, 50)
-            x = round(rng.uniform(-100.0, 100.0), 4)
-            yy = round(rng.uniform(-100.0, 100.0), 4)
-            area = RESEARCH_AREAS[c % config.n_areas]
-            label = f"cluster {c}"
-            lines.append(f"c{c:05d},{label},{area},{total},{x!r},{yy!r}")
+            cluster_id = f"c{c:05d}"
+            clusters[cluster_id] = ClusterMeta(
+                cluster_id, f"cluster {c}", RESEARCH_AREAS[c % config.n_areas], total,
+                round(rng.uniform(-100.0, 100.0), 4), round(rng.uniform(-100.0, 100.0), 4),
+            )
         tmp = out / "clusters.csv.tmp"
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_clusters_csv(tmp, clusters)
         os.replace(tmp, out / "clusters.csv")
 
     per_year: dict[int, dict[str, int | None]] = {}
@@ -328,7 +323,5 @@ def generate(config: GeneratorConfig, out_dir: str | Path) -> GroundTruth:
         per_year=per_year,
         band_counts=band_counts,
     )
-    tmp = out / "ground_truth.json.tmp"
-    tmp.write_text(truth.to_json(), encoding="utf-8")
-    os.replace(tmp, out / "ground_truth.json")
+    atomic_write_text(out / "ground_truth.json", truth.to_json())
     return truth

@@ -441,6 +441,12 @@ def test_synth_entrants_map_and_infeasible(tmp_path, capsys):
     assert "stay_prob" in capsys.readouterr().err
     assert main(["synth", "--out", str(tmp_path / "c"),
                  "--entrants-map", "2012x50"]) == 2
+    capsys.readouterr()
+    # a corpus the loader would reject is never written
+    assert main(["synth", "--out", str(tmp_path / "d"), "--horizon", "3:6",
+                 "--entrants", "20"]) == 2
+    assert "horizon start 3 minus career_back_max 15 is before year 1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_overlay_requires_cluster_metadata(bd2012_paths, capsys):

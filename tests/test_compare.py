@@ -182,6 +182,25 @@ def test_pooled_cutoffs_classify_a_side_that_alone_is_degenerate():
     assert "classification_note" not in files["summary.csv"]
 
 
+def test_pooled_values_keep_every_author_whatever_its_id():
+    # side a's "q\x00b" and side b's "q" are two authors: all eight values
+    # are pooled, so production resolves at 5 rather than degenerating at 1
+    pubs = [(f"p{i}", 2012, ["q\x00b"], ["alpha"]) for i in range(5)]
+    pubs += [(f"a{i}", 2012, [f"a{i}"], ["alpha"]) for i in range(3)]
+    pubs += [(f"c{i}", 2012, [author], ["gamma"]) for i, author in enumerate(["q", "c1", "c2", "c3"])]
+    careers = {author: (2012, {2012: 1}) for _, _, (author,), _ in pubs}
+    careers["q\x00b"] = (2012, {2012: 5})
+    careers["a0"] = (2012, {2012: 2})  # focus 50: only production can be degenerate
+    corpus = make_corpus(pubs, careers)
+    report = compare(corpus, "alpha", "gamma", pooled_thresholds=True)
+    for side in (report.side_a, report.side_b):
+        assert side.classification_note is None
+        t = side.classification.thresholds
+        assert t.production_cutoff == 5 and t.production_trace.promoted
+    both = [*report.side_a.profiles.values(), *report.side_b.profiles.values()]
+    assert t == resolve_thresholds(dict(enumerate(both)))
+
+
 def test_pooled_degenerate_values_leave_both_sides_unclassified():
     # alone each side is degenerate in production (2s, 1s); pooled, only focus is
     pubs = [

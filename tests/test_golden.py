@@ -2,7 +2,8 @@
 
 Each case runs one CLI invocation and compares the SHA-256 of every file it
 writes against a recorded constant. manifest.json is left out because it
-echoes input paths. Inputs are the bd2012 fixture, a small seeded
+echoes input paths; synth's own files are checked whole, manifest included,
+since it echoes no path. Inputs are the bd2012 fixture, a small seeded
 synthetic corpus with clusters and two overlapping topics, and a copy of that
 corpus with titles, abstracts, keywords and document types for the
 delineation and doc-type filter cases.
@@ -335,6 +336,25 @@ GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
+SYNTH_ARGV = ["synth", "--seed", "2021", "--entrants", "30", "--clusters-n", "7", "--areas-n", "3",
+              "--topic", "alpha"]
+
+
+def synth_digests(out: pathlib.Path) -> dict[str, str]:
+    assert main([*SYNTH_ARGV, "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+# Recorded from the release before synth wrote through the corpus writers.
+SYNTH_GOLDEN = {
+    "careers.csv": "b9ac0796d7a6967112e4ed1c4d6ee7bcf542c30a480268530304db17305b78ec",
+    "clusters.csv": "3ad792d8e90d109aa75ff2f81f88cf04122a65f76e1063aba7a7dc6d2b4c9381",
+    "ground_truth.json": "ae913de2dca71d9070d51aa5c1db1bb267a261b90c04c0e371a3ecd3b1d70c9e",
+    "manifest.json": "db6e146485e19a030681e466942ac2c12ce04a7ee189a8b1c81df377093891e3",
+    "publications.jsonl": "c83cd04ec43f71fdaacfa7f7342a6ddb1560f31875b8502b9878697cf4dd27c8",
+}
+
+
 @pytest.fixture(scope="module")
 def synth_base(tmp_path_factory):
     return make_synth(tmp_path_factory.mktemp("golden_synth"))
@@ -344,6 +364,11 @@ def synth_base(tmp_path_factory):
 def test_reports_match_golden_digests(name, synth_base, tmp_path, monkeypatch):
     monkeypatch.delenv("COMMUNITYLENS_CONFIG", raising=False)
     assert run_case(name, synth_base, tmp_path / "run") == GOLDEN[name]
+
+
+def test_synth_files_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("COMMUNITYLENS_CONFIG", raising=False)
+    assert synth_digests(tmp_path / "synth") == SYNTH_GOLDEN
 
 
 if __name__ == "__main__":
@@ -356,5 +381,6 @@ if __name__ == "__main__":
         digests = {
             name: run_case(name, base, pathlib.Path(tmp) / name) for name in sorted(CASES)
         }
+        digests["synth"] = synth_digests(pathlib.Path(tmp) / "synth-files")
     json.dump(digests, sys.stdout, indent=4)
     print()

@@ -188,6 +188,25 @@ def test_infeasible_collects_all_problems(tmp_path):
     for needle in ("horizon", "p_newborn", "lotka_alpha", "topic_share"):
         assert needle in text
     assert not (tmp_path / "publications.jsonl").exists()
+    # years the loader rejects: a first career year before 1, a year after 9999
+    with pytest.raises(InfeasibleConfigError) as err:
+        generate(small_config(horizon=(3, 10003), authors_per_year={3: 20}), tmp_path)
+    assert err.value.problems == [
+        "horizon end 10003 is after year 9999",
+        "horizon start 3 minus career_back_max 15 is before year 1",
+    ]
+    assert not (tmp_path / "publications.jsonl").exists()
+
+
+def test_earliest_feasible_horizon_loads(tmp_path):
+    # yfp may reach year 1 exactly
+    config = small_config(horizon=(16, 20), career_back_max=15, p_newborn=0.0,
+                          authors_per_year={16: 200, 20: 5})
+    truth = generate(config, tmp_path)
+    corpus = load_corpus(tmp_path / "publications.jsonl", tmp_path / "careers.csv",
+                         tmp_path / "clusters.csv", (16, 20), topics=["synth"])
+    assert len(corpus.careers) == truth.n_authors == 205
+    assert min(c.first_year for c in corpus.careers.values()) == 1
 
 
 def test_infeasible_entrant_years():
@@ -195,6 +214,9 @@ def test_infeasible_entrant_years():
         generate(small_config(authors_per_year={2007: 5}), "unused")
     with pytest.raises(InfeasibleConfigError):
         generate(small_config(authors_per_year={2012: -1}), "unused")
+    for horizon in ((3, 6), (9998, 10003)):  # career years the loader rejects
+        with pytest.raises(InfeasibleConfigError):
+            generate(small_config(horizon=horizon, authors_per_year={horizon[0]: 20}), "unused")
 
 
 def test_infeasible_area_count():
