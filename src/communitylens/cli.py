@@ -22,33 +22,20 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .classify import RULES, DegenerateDistributionError, classify_authors, resolve_thresholds
-from .cohorts import STAY_DENOMINATORS, TopicIndex, UnknownTopicError, cohort_series, topic_activity
-from .compare import compare, comparison_files
+from .classify import RULES, DegenerateDistributionError, resolve_thresholds
+from .cohorts import STAY_DENOMINATORS, UnknownTopicError, cohort_series, topic_activity
+from .compare import CommunitySide, build_side, classify_side, compare, comparison_files, side_files
 from .corpus import DEFAULT_HORIZON, Corpus, CorpusError, load_corpus
-from .indicators import (
-    FOCUS_MODES,
-    AuthorProfile,
-    CareerDataError,
-    author_profiles,
-    production_bands,
-    year_summaries,
-)
+from .indicators import FOCUS_MODES, CareerDataError, author_profiles
 from .overlay import area_rollup, cluster_overlay
 from .reports import (
     COLOR_METRICS,
     atomic_write_text,
     build_manifest,
     emit_areas_csv,
-    emit_bands_csv,
-    emit_cohorts_csv,
-    emit_indicators_csv,
     emit_map_csv,
     emit_map_json,
     emit_overlay_csv,
-    emit_quadrant_authors_csv,
-    emit_quadrant_summary_csv,
-    emit_thresholds_json,
     sha256_file,
     sha256_text,
     write_run,
@@ -241,6 +228,15 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise _Usage(f"--{name.replace('_', '-')} is required for {args.subcommand}")
 
 
+def _check_out(path: str) -> None:
+    """--out, or else its nearest existing ancestor, must be a directory."""
+    existing = Path(path)
+    while not os.path.exists(existing) and existing != existing.parent:
+        existing = existing.parent
+    if not os.path.isdir(existing):
+        raise _Usage(f"--out {path}: {existing} is not a directory")
+
+
 def _check_exists(*paths: str | None) -> None:
     for path in paths:
         if path is None:
@@ -304,44 +300,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 # --- topic subcommands --------------------------------------------------------
 # cohorts, indicators, classify and overlay run one flow: load while indexing
-# the topic, build the author profiles when their reports need them, then
-# reduce. compare runs the same profile steps for each side inside compare().
-
-Profiles = dict[str, AuthorProfile]
-
-
-def _cohorts_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
-                   profiles: Profiles | None) -> dict[str, str]:
-    rows = cohort_series(corpus, args.topic, args.window, args.stay_denominator)
-    return {"cohorts.csv": emit_cohorts_csv(rows, raw=args.raw)}
+# the topic, then build a CommunitySide with only the reports the subcommand
+# needs. indicators is build_side, and classify adds classify_side: the same
+# steps as each side of compare. side_files writes the side; overlay writes
+# its own files from the side's profiles.
 
 
-def _indicators_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
-                      profiles: Profiles) -> dict[str, str]:
-    files = _cohorts_files(args, corpus, index, profiles)
-    summaries = year_summaries(corpus, args.topic, profiles=profiles)
-    files["indicators.csv"] = emit_indicators_csv(summaries, raw=args.raw)
-    files["bands.csv"] = emit_bands_csv(production_bands(profiles), raw=args.raw)
-    return files
-
-
-def _classify_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
-                    profiles: Profiles) -> dict[str, str]:
-    thresholds = resolve_thresholds(profiles, args.threshold_rule)
-    result = classify_authors(profiles, thresholds, corpus=corpus, index=index)
-    return {
-        "quadrant_authors.csv": emit_quadrant_authors_csv(result, raw=args.raw),
-        "quadrant_summary.csv": emit_quadrant_summary_csv(result, raw=args.raw),
-        "thresholds.json": emit_thresholds_json(result),
-    }
-
-
-def _overlay_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
-                   profiles: Profiles) -> dict[str, str]:
+def _overlay_files(args: argparse.Namespace, corpus: Corpus, side: CommunitySide) -> dict[str, str]:
     if not corpus.clusters:  # the file loaded, so it is a header without rows
         raise CorpusError(f"{args.clusters}: no cluster rows; overlays need cluster metadata")
-    overlay_rows = cluster_overlay(corpus, index, profiles, args.window)
-    rollups = area_rollup(overlay_rows, corpus=corpus, index=index, profiles=profiles,
+    overlay_rows = cluster_overlay(corpus, side.index, side.profiles, args.window)
+    rollups = area_rollup(overlay_rows, corpus=corpus, index=side.index, profiles=side.profiles,
                           stay_window=args.window)
     if args.map_format == "json":
         map_name, map_text = "map.json", emit_map_json(overlay_rows, args.color_metric)
@@ -354,28 +323,28 @@ def _overlay_files(args: argparse.Namespace, corpus: Corpus, index: TopicIndex,
     }
 
 
-# subcommand -> (report builder, extra required flags, builds profiles,
-# absent topic emits zero rows; otherwise it is a data error)
-_TOPIC_COMMANDS = {
-    "cohorts": (_cohorts_files, (), False, True),
-    "indicators": (_indicators_files, (), True, True),
-    "classify": (_classify_files, (), True, False),
-    "overlay": (_overlay_files, ("clusters",), True, False),
-}
-
-
 def _cmd_topic(args: argparse.Namespace) -> int:
-    build_files, required, builds_profiles, zero_rows_ok = _TOPIC_COMMANDS[args.subcommand]
-    _require(args, "corpus", "topic", *required, "out")  # before any input is read
-    corpus = _load(args, (args.topic,))
-    index = topic_activity(corpus, args.topic)
+    command, topic = args.subcommand, args.topic
+    clusters = ("clusters",) if command == "overlay" else ()
+    _require(args, "corpus", "topic", *clusters, "out")  # before any input is read
+    corpus = _load(args, (topic,))
+    index = topic_activity(corpus, topic)
     if not index:
-        if not zero_rows_ok:
-            raise UnknownTopicError(args.topic)
-        print(f"warning: topic {args.topic!r} has no publications; emitting zero rows",
-              file=sys.stderr)
-    profiles = author_profiles(corpus, args.topic, args.focus_mode) if builds_profiles else None
-    return _finish(args, build_files(args, corpus, index, profiles))
+        if command in ("classify", "overlay"):  # the others emit zero rows
+            raise UnknownTopicError(topic)
+        print(f"warning: topic {topic!r} has no publications; emitting zero rows", file=sys.stderr)
+    if command == "indicators":
+        side = build_side(corpus, topic, index, args.window, args.stay_denominator, args.focus_mode)
+    elif command == "cohorts":
+        rows = cohort_series(corpus, topic, args.window, args.stay_denominator)
+        side = CommunitySide(topic, index, cohort_rows=rows)
+    else:
+        side = CommunitySide(topic, index, profiles=author_profiles(corpus, topic, args.focus_mode))
+    if command == "overlay":
+        return _finish(args, _overlay_files(args, corpus, side))
+    if command == "classify":
+        side = classify_side(side, corpus, resolve_thresholds(side.profiles, args.threshold_rule))
+    return _finish(args, side_files(side, raw=args.raw))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -441,7 +410,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 _HANDLERS = {
     "validate": _cmd_validate,
-    **{name: _cmd_topic for name in _TOPIC_COMMANDS},
+    **dict.fromkeys(("cohorts", "indicators", "classify", "overlay"), _cmd_topic),
     "compare": _cmd_compare,
     "synth": _cmd_synth,
 }
@@ -471,6 +440,8 @@ def _run(argv: list[str] | None) -> int:
             args = _parse_args(parser, argv)
         except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
+        if args.out is not None:
+            _check_out(args.out)  # before any input is read
         return _HANDLERS[args.subcommand](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

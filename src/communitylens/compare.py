@@ -1,13 +1,14 @@
-"""Side-by-side two-community reports.
+"""One community's report path, and side-by-side two-community reports.
 
-Each side runs the standalone pipeline (cohort series, indicator summaries,
-production bands, quadrant classification) with identical configuration,
-from one topic index and one set of author profiles per side;
-authors active in both communities are analyzed independently on each side
-and counted in the overlap. When both topics come from one corpus, an author
-in both has their horizon career total summed once (Corpus.horizon_totals).
-Difference tables subtract side b from side a cell by cell in exact
-arithmetic before rounding.
+A CommunitySide holds one community's reports, None for each that the run
+does not build. The topic subcommands and both sides of compare() build
+through build_side (cohort series, author profiles, indicator summaries,
+production bands) and classify_side, and emit through side_files, so each
+side of a comparison is the standalone run, with identical configuration.
+Authors active in both communities are analyzed independently on each side
+and counted in the overlap; on one corpus, their horizon career total is
+summed once (Corpus.horizon_totals). Difference tables subtract side b from
+side a cell by cell in exact arithmetic before rounding.
 """
 
 from __future__ import annotations
@@ -62,15 +63,20 @@ from .reports import (
 
 
 class CommunitySide(NamedTuple):
+    """One community's reports; a report that the run does not build is None."""
+
     topic: str
     index: TopicIndex
-    n_authors: int
-    cohort_rows: list[YearCohorts]
-    summaries: list[YearIndicatorSummary]
-    bands: list[ProductionBand]
-    profiles: dict[str, AuthorProfile]
+    cohort_rows: list[YearCohorts] | None = None
+    profiles: dict[str, AuthorProfile] | None = None
+    summaries: list[YearIndicatorSummary] | None = None
+    bands: list[ProductionBand] | None = None
     classification: ClassificationResult | None = None
-    classification_note: str | None = None  # why classification is None
+    classification_note: str | None = None  # why compare left classification None
+
+    @property
+    def n_authors(self) -> int:
+        return len(self.index)
 
 
 class ComparisonReport(NamedTuple):
@@ -79,22 +85,22 @@ class ComparisonReport(NamedTuple):
     overlap: int  # authors present in both communities
 
 
-def _build_side(
-    corpus: Corpus,
-    topic: str,
-    stay_window: int,
-    stay_denominator: str,
-    focus_mode: str,
-) -> CommunitySide:
-    """Every report of one side but its classification, which compare adds."""
-    index = topic_activity(corpus, topic)
-    if not index:
-        raise UnknownTopicError(topic)
+def build_side(corpus: Corpus, topic: str, index: TopicIndex, stay_window: int,
+               stay_denominator: str, focus_mode: str) -> CommunitySide:
+    """The indicators run of one topic, whose index is `index`."""
     rows = cohort_series(corpus, topic, stay_window, stay_denominator)
     profiles = author_profiles(corpus, topic, focus_mode)
     summaries = year_summaries(corpus, topic, profiles=profiles)
-    bands = production_bands(profiles)
-    return CommunitySide(topic, index, len(profiles), rows, summaries, bands, profiles)
+    return CommunitySide(topic, index, rows, profiles, summaries, production_bands(profiles))
+
+
+def classify_side(side: CommunitySide, corpus: Corpus, thresholds: QuadrantThresholds | None,
+                  note: str | None = None) -> CommunitySide:
+    """The side's profiles classified; without thresholds, `note` says why not."""
+    if thresholds is None:
+        return side._replace(classification_note=note)
+    result = classify_authors(side.profiles, thresholds, corpus=corpus, index=side.index)
+    return side._replace(classification=result)
 
 
 def _thresholds_or_note(
@@ -121,34 +127,32 @@ def compare(
     """Build side a, then side b; topic_b reads from corpus_b when given.
 
     Each corpus must have indexed the topic it serves (load_corpus's
-    ``topics``); a same-corpus comparison indexes both in one load.
+    ``topics``); a same-corpus comparison indexes both in one load. A side
+    whose cutoffs are degenerate is left unclassified with a note.
     """
     check_denominator(stay_denominator)
     check_rule(threshold_rule)
     check_focus_mode(focus_mode)
-    other = corpus_b if corpus_b is not None else corpus
-    side_a = _build_side(corpus, topic_a, stay_window, stay_denominator, focus_mode)
-    side_b = _build_side(other, topic_b, stay_window, stay_denominator, focus_mode)
+    corpora = (corpus, corpus if corpus_b is None else corpus_b)
+    sides = []
+    for side_corpus, topic in zip(corpora, (topic_a, topic_b)):
+        index = topic_activity(side_corpus, topic)
+        if not index:
+            raise UnknownTopicError(topic)
+        sides.append(build_side(side_corpus, topic, index, stay_window, stay_denominator, focus_mode))
 
     if pooled_thresholds:
         # Authors in both communities carry per-topic values; pooling feeds
         # both value sets into one cutoff resolution.
         pooled = {(name, author_id): profile
-                  for name, side in (("a", side_a), ("b", side_b))
+                  for name, side in zip("ab", sides)
                   for author_id, profile in side.profiles.items()}
         cuts = [_thresholds_or_note(pooled, threshold_rule)] * 2
     else:
-        cuts = [_thresholds_or_note(side.profiles, threshold_rule) for side in (side_a, side_b)]
-    sides = []
-    for (side, cp), (thresholds, note) in zip(((side_a, corpus), (side_b, other)), cuts):
-        classification = None
-        if thresholds is not None:
-            classification = classify_authors(side.profiles, thresholds, corpus=cp, index=side.index)
-        sides.append(side._replace(classification=classification, classification_note=note))
-    side_a, side_b = sides
-
-    overlap = len(side_a.profiles.keys() & side_b.profiles.keys())
-    return ComparisonReport(side_a, side_b, overlap)
+        cuts = [_thresholds_or_note(side.profiles, threshold_rule) for side in sides]
+    side_a, side_b = (classify_side(side, side_corpus, *cut)
+                      for side, side_corpus, cut in zip(sides, corpora, cuts))
+    return ComparisonReport(side_a, side_b, len(side_a.profiles.keys() & side_b.profiles.keys()))
 
 
 # --- difference tables -------------------------------------------------------
@@ -181,38 +185,42 @@ def diff_quadrants_csv(
     )
 
 
+def side_files(side: CommunitySide, *, raw: bool = False, prefix: str = "",
+               both_stay_denominators: bool = False) -> dict[str, str]:
+    """Every report the side holds as {prefix + filename: content}."""
+    files: dict[str, str] = {}
+    if side.cohort_rows is not None:
+        files["cohorts.csv"] = emit_cohorts_csv(side.cohort_rows, raw=raw,
+                                                both_stay_denominators=both_stay_denominators)
+    if side.summaries is not None:
+        files["indicators.csv"] = emit_indicators_csv(side.summaries, raw=raw)
+    if side.bands is not None:
+        files["bands.csv"] = emit_bands_csv(side.bands, raw=raw)
+    if side.classification is not None:
+        files["quadrant_authors.csv"] = emit_quadrant_authors_csv(side.classification, raw=raw)
+        files["quadrant_summary.csv"] = emit_quadrant_summary_csv(side.classification, raw=raw)
+        files["thresholds.json"] = emit_thresholds_json(side.classification)
+    return {prefix + name: text for name, text in files.items()}
+
+
 def comparison_files(report: ComparisonReport, *, raw: bool = False) -> dict[str, str]:
     """Render the comparison run as {filename: content} for staged emission."""
-    files: dict[str, str] = {}
-    for prefix, side in (("a", report.side_a), ("b", report.side_b)):
-        files[f"{prefix}_cohorts.csv"] = emit_cohorts_csv(
-            side.cohort_rows, raw=raw, both_stay_denominators=True
-        )
-        files[f"{prefix}_indicators.csv"] = emit_indicators_csv(side.summaries, raw=raw)
-        files[f"{prefix}_bands.csv"] = emit_bands_csv(side.bands, raw=raw)
-        if side.classification is not None:
-            files[f"{prefix}_quadrant_authors.csv"] = emit_quadrant_authors_csv(
-                side.classification, raw=raw
-            )
-            files[f"{prefix}_quadrant_summary.csv"] = emit_quadrant_summary_csv(
-                side.classification, raw=raw
-            )
-            files[f"{prefix}_thresholds.json"] = emit_thresholds_json(side.classification)
-    files["diff_cohorts.csv"] = diff_cohorts_csv(report.side_a.cohort_rows, report.side_b.cohort_rows)
-    files["diff_indicators.csv"] = diff_indicators_csv(report.side_a.summaries, report.side_b.summaries)
-    files["diff_bands.csv"] = diff_bands_csv(report.side_a.bands, report.side_b.bands)
-    files["diff_quadrant_summary.csv"] = diff_quadrants_csv(
-        report.side_a.classification, report.side_b.classification
-    )
+    a, b = report.side_a, report.side_b
+    files = (side_files(a, raw=raw, prefix="a_", both_stay_denominators=True)
+             | side_files(b, raw=raw, prefix="b_", both_stay_denominators=True))
+    files["diff_cohorts.csv"] = diff_cohorts_csv(a.cohort_rows, b.cohort_rows)
+    files["diff_indicators.csv"] = diff_indicators_csv(a.summaries, b.summaries)
+    files["diff_bands.csv"] = diff_bands_csv(a.bands, b.bands)
+    files["diff_quadrant_summary.csv"] = diff_quadrants_csv(a.classification, b.classification)
 
     fields = [
-        ("topic_a", report.side_a.topic),
-        ("topic_b", report.side_b.topic),
-        ("n_authors_a", report.side_a.n_authors),
-        ("n_authors_b", report.side_b.n_authors),
+        ("topic_a", a.topic),
+        ("topic_b", b.topic),
+        ("n_authors_a", a.n_authors),
+        ("n_authors_b", b.n_authors),
         ("overlap", report.overlap),
     ]
-    for prefix, side in (("a", report.side_a), ("b", report.side_b)):
+    for prefix, side in (("a", a), ("b", b)):
         if side.classification_note:
             fields.append((f"classification_note_{prefix}", side.classification_note))
     files["summary.csv"] = emit_fields_csv(fields)

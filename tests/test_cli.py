@@ -109,6 +109,23 @@ def test_missing_out_is_usage_error_before_the_load(bd2012_paths, capsys, argv):
     assert "nope" not in err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("subcommand", ["validate", "cohorts", "compare", "synth"])
+def test_out_that_cannot_be_a_directory_is_usage_error_before_the_load(tmp_path, capsys,
+                                                                       subcommand, under):
+    # the corpus would fail to load (exit 1), so exit 2 means --out was checked first
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("{not json\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if under else taken
+    inputs = [] if subcommand == "synth" else ["--corpus", str(broken), "--topic", "t"]
+    extra = ["--topic-b", "t"] if subcommand == "compare" else []
+    assert main([subcommand, *inputs, *extra, "--out", str(out)]) == 2
+    assert f"usage error: --out {out}: {taken} is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
 def test_unknown_topic_classify_is_data_error(bd2012_paths, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["classify", *bd_args(bd2012_paths, "--out", str(out))[:-2],
@@ -267,6 +284,47 @@ def test_manifest_echoes_the_flags_the_subcommand_takes(synth_paths, tmp_path, s
     assert main([subcommand, *synth_paths, *extra, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["config"]) == CONFIG_KEYS[subcommand]
+
+
+LAYER_STEPS = ("cohort_series", "author_profiles", "year_summaries", "production_bands",
+               "resolve_thresholds", "classify_authors", "cluster_overlay", "area_rollup")
+INDICATOR_STEPS = {"cohort_series": 1, "author_profiles": 1, "year_summaries": 1,
+                   "production_bands": 1}
+COMPARE_STEPS = {name: 2 for name in (*INDICATOR_STEPS, "resolve_thresholds", "classify_authors")}
+# case -> (subcommand and flags, calls of each step)
+STEP_CALLS = {
+    "cohorts": (["cohorts"], {"cohort_series": 1}),
+    "indicators": (["indicators"], INDICATOR_STEPS),
+    "classify": (["classify"], {"author_profiles": 1, "resolve_thresholds": 1,
+                                "classify_authors": 1}),
+    "overlay": (["overlay"], {"author_profiles": 1, "cluster_overlay": 1, "area_rollup": 1}),
+    "compare": (["compare", "--topic-b", "synth"], COMPARE_STEPS),
+    "compare-pooled": (["compare", "--topic-b", "synth", "--pooled-thresholds"],
+                       {**COMPARE_STEPS, "resolve_thresholds": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CALLS))
+def test_each_subcommand_runs_only_its_own_steps(synth_paths, tmp_path, monkeypatch, case):
+    # every module binding is wrapped, as perfbench/tracer.py does, so a step
+    # called from any module counts; cohorts must not build profiles, nor
+    # classify cohorts
+    calls = []
+
+    def counted(name, real):
+        def step(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return step
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("communitylens"):
+            for name in LAYER_STEPS:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    argv, want = STEP_CALLS[case]
+    assert main([argv[0], *synth_paths, *argv[1:], "--out", str(tmp_path / "run")]) == 0
+    assert {name: calls.count(name) for name in calls} == want
 
 
 # (subcommand, flag) pairs whose flag reaches none of the subcommand's outputs

@@ -107,7 +107,11 @@ CASES = {
     "bd2012-compare-pooled": ("bd2012", ["compare", "--topic-b", "big data",
                                          "--pooled-thresholds"]),
     "synth-cohorts": ("synth", ["cohorts"]),
+    "synth-cohorts-variant": ("synth", ["cohorts", "--raw", "--window", "1",
+                                        "--stay-denominator", "all"]),
     "synth-indicators": ("synth", ["indicators"]),
+    "synth-indicators-variant": ("synth", ["indicators", "--raw", "--focus-mode", "annual",
+                                           "--window", "3", "--stay-denominator", "all"]),
     "synth-classify": ("synth", ["classify"]),
     "synth-classify-variant": ("synth", ["classify", "--raw", "--focus-mode", "annual",
                                          "--threshold-rule", "strict"]),
@@ -203,6 +207,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     "synth-cohorts": {
         "cohorts.csv": "9720cc0797102d4b60dceb3f53826f762c083599a1cff0fa1713698473209ac8",
+    },
+    # Recorded from the release before the topic subcommands and compare shared one side builder.
+    "synth-cohorts-variant": {
+        "cohorts.csv": "e6ac37c178396a3ebeaa72ea9354ed74df2628a9829c1a12e64858a5b9727127",
     },
     "synth-compare": {
         "a_bands.csv": "1d68a8a6e6d831503b0c4ad1ded86f1ebf46ee78cee5179638909e34942ac2e8",
@@ -316,6 +324,12 @@ GOLDEN: dict[str, dict[str, str]] = {
         "bands.csv": "1d68a8a6e6d831503b0c4ad1ded86f1ebf46ee78cee5179638909e34942ac2e8",
         "cohorts.csv": "9720cc0797102d4b60dceb3f53826f762c083599a1cff0fa1713698473209ac8",
         "indicators.csv": "d34235e4aac55292041de84f1fbe92554bf105750ff02c0a7fd9b47b40983534",
+    },
+    # Recorded from the release before the topic subcommands and compare shared one side builder.
+    "synth-indicators-variant": {
+        "bands.csv": "7727fa3a9d83b6252d5f30881306080a6c64b200a67eb7a7de0c5f6abefbd7e9",
+        "cohorts.csv": "b1920260d812faa6221315b487e34c6e898db4fb49822dde04c8521940a9b3aa",
+        "indicators.csv": "6868547771409614dc37be590fbb77d192b7d4b30a066c27711a65076ee63b25",
     },
     "synth-overlay-csv": {
         "areas.csv": "56ae204ef2b49151d98674077eba9af983410ae752c31249723fdabd7bd8b07f",
