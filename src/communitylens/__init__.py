@@ -45,7 +45,7 @@ from .indicators import (
     production_bands,
     year_summaries,
 )
-from .overlay import AreaRollup, ClusterOverlayRow, area_rollup, cluster_overlay
+from .overlay import AreaRollup, ClusterOverlayRow, area_rollup, cluster_overlay, stay_status
 from .synthgen import GeneratorConfig, GroundTruth, InfeasibleConfigError, generate
 
 __all__ = [
@@ -85,6 +85,7 @@ __all__ = [
     "load_corpus",
     "production_bands",
     "resolve_thresholds",
+    "stay_status",
     "topic_activity",
     "year_cohorts",
     "year_summaries",

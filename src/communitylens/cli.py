@@ -27,7 +27,7 @@ from .cohorts import STAY_DENOMINATORS, UnknownTopicError, cohort_series, topic_
 from .compare import CommunitySide, build_side, classify_side, compare, comparison_files, side_files
 from .corpus import DEFAULT_HORIZON, Corpus, CorpusError, load_corpus
 from .indicators import FOCUS_MODES, CareerDataError, author_profiles
-from .overlay import area_rollup, cluster_overlay
+from .overlay import area_rollup, cluster_overlay, stay_status
 from .reports import (
     COLOR_METRICS,
     atomic_write_text,
@@ -309,9 +309,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _overlay_files(args: argparse.Namespace, corpus: Corpus, side: CommunitySide) -> dict[str, str]:
     if not corpus.clusters:  # the file loaded, so it is a header without rows
         raise CorpusError(f"{args.clusters}: no cluster rows; overlays need cluster metadata")
-    overlay_rows = cluster_overlay(corpus, side.index, side.profiles, args.window)
+    status = stay_status(corpus, side.index, side.profiles, args.window)
+    overlay_rows = cluster_overlay(corpus, side.index, side.profiles, status)
     rollups = area_rollup(overlay_rows, corpus=corpus, index=side.index, profiles=side.profiles,
-                          stay_window=args.window)
+                          status=status)
     if args.map_format == "json":
         map_name, map_text = "map.json", emit_map_json(overlay_rows, args.color_metric)
     else:

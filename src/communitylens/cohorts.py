@@ -157,7 +157,7 @@ def _build_year_sets(
     missing: set[str] = set()
 
     for author, by_year in index.counts.items():
-        entry = next(iter(by_year))  # years ascend (TopicIndex.sort_authors)
+        entry = next(iter(by_year))  # years ascend: the load reads its tallies in year order
         new_by_year[entry].add(author)
         career = corpus.careers.get(author)
         if career is None:

@@ -14,16 +14,19 @@ A corpus couples three inputs:
 A loaded corpus is its careers, its cluster metadata and one TopicIndex per
 topic named in ``topics``, built while the file is parsed; no publication
 record is kept, since every indicator reduces over an author's per-year topic
-counts. Of what a record parses to, the load keeps only what those hold:
-years are interned, a known cluster id is the metadata's own string, and
-author ids are not interned, since no kept record would share them.
+counts. Of what a record parses to, the load keeps only what those hold: a
+known cluster id is the metadata's own string, and author ids are not
+interned, since no kept record would share them.
 
 Records outside the analysis horizon are dropped at load (and counted), so
 the indexes only ever hold within-horizon activity. Each author's per-year
-record counts are taken before the horizon drop, in one pass for either
-career source: derived careers are built from them, so an author's first year
-and totals reflect every parsed record, and supplied careers are checked
-against them.
+record counts are taken before the horizon drop, so an author's first year and
+totals reflect every parsed record. Supplied careers are checked against a
+per-year tally of those counts (year -> author -> records), which takes one
+C-level call per record; derived careers are the per-author counts
+themselves, built one author at a time, with interned years. Each topic index
+tallies its records the same way and becomes per-author counts once the file
+is read.
 
 Loading is the only corpus check. Every defect (undecodable or malformed
 line, duplicate pub_id, missing or conflicting career) raises a CorpusError
@@ -42,6 +45,8 @@ import csv
 import json
 import math
 import re
+from collections import _count_elements, defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -188,52 +193,31 @@ class TopicIndex(Record):
     counts maps author_id -> {year: topic publications}, ordered by author_id
     so every downstream reduction is enumeration-order independent, and each
     author's years in ascending order, so the first is the entry year. clusters
-    maps author_id -> ids of the known clusters holding the author's topic
-    publications; authors without one are absent. len() is the number of
-    topic authors.
+    maps the id of each known cluster holding a topic publication -> the
+    authors of its topic publications. len() is the number of topic authors.
     """
 
     __slots__ = _fields = ("counts", "clusters")
 
-    def __init__(self, counts: dict[str, dict[int, int]] | None = None,
-                 clusters: dict[str, set[str]] | None = None):
-        self.counts = {} if counts is None else counts
-        self.clusters = {} if clusters is None else clusters
+    def __init__(self, counts: dict[str, dict[int, int]], clusters: dict[str, set[str]]):
+        self.counts = counts
+        self.clusters = clusters
 
     def __len__(self) -> int:
         return len(self.counts)
 
-    def add(self, year: int, authors: Iterable[str], cluster_id: str | None) -> None:
-        """Count one topic publication; cluster_id must be a known cluster or None."""
-        counts = self.counts
-        for author in authors:
-            by_year = counts.get(author)
-            if by_year is None:
-                counts[author] = {year: 1}
-            else:
-                by_year[year] = by_year.get(year, 0) + 1
-            if cluster_id is not None:
-                member_of = self.clusters.get(author)
-                if member_of is None:
-                    self.clusters[author] = {cluster_id}
-                else:
-                    member_of.add(cluster_id)
-
     def area_authors(self, clusters: Mapping[str, ClusterMeta]) -> dict[str, set[str]]:
         """Authors with a topic publication in each area's clusters, for the
         areas that have one. An author counts once per area."""
-        members: dict[str, set[str]] = {meta.area: set() for meta in clusters.values()}
-        for author, cluster_ids in self.clusters.items():
-            for cluster_id in cluster_ids:
-                members[clusters[cluster_id].area].add(author)
-        return {area: authors for area, authors in members.items() if authors}
-
-    def sort_authors(self) -> TopicIndex:
-        """Order counts by author_id, and each author's years ascending, once
-        the last publication is added."""
-        counts = self.counts
-        self.counts = {a: dict(sorted(counts[a].items())) for a in sorted(counts)}
-        return self
+        members: dict[str, set[str]] = {}
+        for cluster_id, authors in self.clusters.items():
+            area = clusters[cluster_id].area
+            in_area = members.get(area)
+            if in_area is None:
+                members[area] = set(authors)
+            else:
+                in_area |= authors
+        return members
 
 
 class Corpus(Record):
@@ -343,14 +327,12 @@ def _undecodable_line(source: str, newline: str | None) -> MalformedRecordError:
     return MalformedRecordError(source, line_no, "invalid UTF-8")  # the file changed meanwhile
 
 
-def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, row) for each non-blank data row of a CSV file.
-
-    The first line must be exactly ``header`` and every row as wide. Any other
-    defect of the file, an undecodable byte included, is a MalformedRecordError.
-    """
+@contextmanager
+def _csv_reader(path: str | Path, header: list[str]) -> Iterator:
+    """Open a CSV file whose first line must be exactly ``header``, and give
+    its reader at the first data row. Any defect the reader meets, an
+    undecodable byte included, is a MalformedRecordError naming its line."""
     source = str(path)
-    width = len(header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -360,18 +342,26 @@ def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[s
                 if first and first[0].startswith("\ufeff"):
                     reason = f"unexpected UTF-8 BOM before the header; {reason}"
                 raise MalformedRecordError(source, 1, reason)
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise MalformedRecordError(
-                        source, reader.line_num, f"expected {width} columns, got {len(row)}"
-                    )
-                yield reader.line_num, row
+            yield reader
         except csv.Error as exc:
             raise MalformedRecordError(source, reader.line_num, f"invalid CSV: {exc}") from None
         except UnicodeDecodeError:
             raise _undecodable_line(source, newline="") from None
+
+
+def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, row) for each non-blank data row of a CSV file read
+    by _csv_reader; every row must be as wide as ``header``."""
+    width = len(header)
+    with _csv_reader(path, header) as reader:
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise MalformedRecordError(
+                    str(path), reader.line_num, f"expected {width} columns, got {len(row)}"
+                )
+            yield reader.line_num, row
 
 
 def _career_values(source: str, line_no: int, row: list[str], years: dict[str, int],
@@ -396,10 +386,12 @@ def _career_values(source: str, line_no: int, row: list[str], years: dict[str, i
 def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
     """Parse a long-format careers file into one AuthorCareer per author.
 
-    Each distinct field string is checked once: a row whose three values were
-    accepted before costs three lookups, and each distinct year string is one
-    int object. An author's rows need not be adjacent; a row that repeats the
-    previous row's author_id reuses its career.
+    Rows come straight from _csv_reader; the reader's line number is read
+    only to name a defect or a conflict. Each distinct field string is
+    checked once: a row whose three values were accepted before costs three
+    lookups, and each distinct year string is one int object. An author's
+    rows need not be adjacent; a row that repeats the previous row's
+    author_id reuses its career.
     """
     careers: dict[str, AuthorCareer] = {}
     conflicts: list[tuple[str, str]] = []
@@ -407,27 +399,35 @@ def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
     counts: dict[str, int] = {}  # field string -> count, for strings valid as count
     source = str(path)
     last_id = None
-    for line_no, row in _csv_rows(path, _CAREERS_HEADER):
-        author_id, yfp_raw, year_raw, count_raw = row
-        if not author_id:
-            raise MalformedRecordError(source, line_no, "empty author_id")
-        try:
-            yfp, year, count = years[yfp_raw], years[year_raw], counts[count_raw]
-        except KeyError:
-            yfp, year, count = _career_values(source, line_no, row, years, counts)
-        if author_id != last_id:
-            career = careers.get(author_id)
-            if career is None:
-                career = careers[author_id] = AuthorCareer(author_id, yfp, {})
-            last_id, first_year, pubs_by_year = author_id, career.first_year, career.pubs_by_year
-        if yfp != first_year:
-            reason = f"inconsistent yfp {first_year} vs {yfp}"
-            conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
-        if count:
-            if year < first_year:
-                reason = f"count in {year} precedes yfp {first_year}"
-                conflicts.append((author_id, f"{reason} ({source}, line {line_no})"))
-            pubs_by_year[year] = pubs_by_year.get(year, 0) + count
+    with _csv_reader(path, _CAREERS_HEADER) as reader:
+        for row in reader:
+            try:
+                author_id, yfp_raw, year_raw, count_raw = row
+            except ValueError:
+                if not row:
+                    continue
+                raise MalformedRecordError(
+                    source, reader.line_num, f"expected 4 columns, got {len(row)}"
+                ) from None
+            if not author_id:
+                raise MalformedRecordError(source, reader.line_num, "empty author_id")
+            try:
+                yfp, year, count = years[yfp_raw], years[year_raw], counts[count_raw]
+            except KeyError:
+                yfp, year, count = _career_values(source, reader.line_num, row, years, counts)
+            if author_id != last_id:
+                career = careers.get(author_id)
+                if career is None:
+                    career = careers[author_id] = AuthorCareer(author_id, yfp, {})
+                last_id, first_year, pubs_by_year = author_id, career.first_year, career.pubs_by_year
+            if yfp != first_year:
+                reason = f"inconsistent yfp {first_year} vs {yfp}"
+                conflicts.append((author_id, f"{reason} ({source}, line {reader.line_num})"))
+            if count:
+                if year < first_year:
+                    reason = f"count in {year} precedes yfp {first_year}"
+                    conflicts.append((author_id, f"{reason} ({source}, line {reader.line_num})"))
+                pubs_by_year[year] = pubs_by_year.get(year, 0) + count
     for author_id, career in careers.items():
         if not career.pubs_by_year:
             conflicts.append((author_id, "no positive publication counts"))
@@ -462,6 +462,42 @@ def load_clusters_csv(path: str | Path) -> tuple[dict[str, ClusterMeta], list[st
             bad_areas.add(area)
         clusters[cluster_id] = ClusterMeta(cluster_id, label, area, total, x, y)
     return clusters, sorted(bad_areas)
+
+
+def _check_careers(careers: dict[str, AuthorCareer],
+                   observed_by_year: Mapping[int, Mapping[str, int]]) -> None:
+    """Raise MissingCareerError for observed authors without a career, else
+    CareerConflictError for each observed author-year the career contradicts."""
+    missing: set[str] = set()
+    conflicts: list[tuple[str, str]] = []
+    for year, seen in observed_by_year.items():
+        for author_id, n_seen in seen.items():
+            career = careers.get(author_id)
+            if career is None:
+                missing.add(author_id)
+            elif year < career.first_year:
+                conflicts.append((author_id, f"record in {year} precedes yfp {career.first_year}"))
+            else:
+                n_supplied = career.pubs_by_year.get(year, 0)
+                if n_supplied < n_seen:
+                    conflicts.append(
+                        (author_id, f"{n_seen} record(s) in {year} exceed career count {n_supplied}")
+                    )
+    if missing:
+        raise MissingCareerError(sorted(missing))
+    if conflicts:
+        conflicts.sort()
+        raise CareerConflictError(conflicts)
+
+
+def _counts_by_author(by_year: dict[int, dict[str, int]]) -> dict[str, dict[int, int]]:
+    """author -> {year: records} from year -> {author: records}, ordered by
+    author_id with each author's years ascending. Empties ``by_year``."""
+    counts: dict[str, dict[int, int]] = {a: {} for a in sorted(set().union(*by_year.values()))}
+    for year in sorted(by_year):
+        for author, n in by_year.pop(year).items():
+            counts[author][year] = n
+    return counts
 
 
 def load_corpus(
@@ -507,17 +543,18 @@ def load_corpus(
     if careers_path is not None:
         careers = load_careers_csv(careers_path)
 
-    indexes = {topic: TopicIndex() for topic in topics}
-    indexed = tuple(indexes.items())
+    # per topic: year -> author -> records, and cluster id -> authors; a known
+    # cluster id is the metadata's own string
+    indexed = tuple((topic, defaultdict(dict), defaultdict(set)) for topic in dict.fromkeys(topics))
     seen_ids: set[str] = set()
-    # The load keeps only the careers and the indexes. Years repeat millions of
-    # times across their dicts, so they are interned; a known cluster id is the
-    # metadata's own string. Author ids are not interned, because no record is
-    # kept to share them with.
+    # Records surviving the doc-type filter, out-of-horizon ones included.
+    # Supplied careers are checked against their tally, year -> author ->
+    # records. Derived careers are author -> year -> records, built one author
+    # at a time; years repeat millions of times across those dicts, so they are
+    # interned there. Author ids are not interned, because no record is kept to
+    # share them with.
+    observed_by_year: defaultdict[int, dict[str, int]] = defaultdict(dict)
     intern_year: dict[int, int] = {}
-    # author -> year -> records surviving the doc-type filter, out-of-horizon
-    # ones included: derived careers are built from it, supplied ones checked
-    # against it.
     observed: dict[str, dict[int, int]] = {}
     # the LoadReport's counts, built into it once the file is read
     parsed = dropped_doc_type = dropped_out_of_horizon = delineated = unknown_clusters = 0
@@ -584,13 +621,16 @@ def load_corpus(
                     dropped_doc_type += 1
                     continue
 
-                year = intern_year.setdefault(year, year)
-                for a in authors:
-                    by_year = observed.get(a)
-                    if by_year is None:
-                        observed[a] = {year: 1}
-                    else:
-                        by_year[year] = by_year.get(year, 0) + 1
+                if careers is None:
+                    year = intern_year.setdefault(year, year)
+                    for a in authors:
+                        by_year = observed.get(a)
+                        if by_year is None:
+                            observed[a] = {year: 1}
+                        else:
+                            by_year[year] = by_year.get(year, 0) + 1
+                else:
+                    _count_elements(observed_by_year[year], authors)
 
                 if not y0 <= year <= y1:
                     dropped_out_of_horizon += 1
@@ -641,36 +681,22 @@ def load_corpus(
                     flags = [*flags, delineate_topic]
                     delineated += 1
 
-                for topic, index in indexed:
+                for topic, tally, members in indexed:
                     if topic in flags:
-                        index.add(year, authors, cluster_id)
+                        _count_elements(tally[year], authors)
+                        if cluster_id is not None:
+                            members[cluster_id].update(authors)
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
 
     del seen_ids, intern_year
-    for _, index in indexed:
-        index.sort_authors()
-
     if careers is None:
         careers = {a: AuthorCareer(a, min(by_year), by_year) for a, by_year in observed.items()}
     else:
-        missing = observed.keys() - careers.keys()
-        if missing:
-            raise MissingCareerError(sorted(missing))
-        conflicts: list[tuple[str, str]] = []
-        for author_id, by_year in observed.items():
-            career = careers[author_id]
-            for year, n_seen in by_year.items():
-                n_supplied = career.pubs_by_year.get(year, 0)
-                if year < career.first_year:
-                    conflicts.append((author_id, f"record in {year} precedes yfp {career.first_year}"))
-                elif n_supplied < n_seen:
-                    conflicts.append(
-                        (author_id, f"{n_seen} record(s) in {year} exceed career count {n_supplied}")
-                    )
-        if conflicts:
-            conflicts.sort()
-            raise CareerConflictError(conflicts)
+        _check_careers(careers, observed_by_year)
+    del observed_by_year
+    indexes = {topic: TopicIndex(_counts_by_author(tally), dict(members))
+               for topic, tally, members in indexed}
 
     if unknown_clusters:
         import logging  # only a load that warns pays for this import at start-up

@@ -5,7 +5,8 @@ clusters contributes to all k rows. Area rollups deduplicate within an area
 (an author counts once per area however many of its clusters they touch) and
 report both conventions side by side.
 
-Both take the topic index, the author profiles and the stay window. The
+Both take the topic index, the author profiles and the stay status of every
+clustered topic author, which stay_status() computes once for both. The
 stayer share of a cluster pools entry years from the horizon start through
 H = horizon_end - stay_window: among the cluster's topic authors entering by
 H, the percentage who stayed, by the community-level rule cohorts.stays().
@@ -64,13 +65,14 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _stay_status(
-    index: TopicIndex, profiles: dict[str, AuthorProfile], stay_window: int, horizon_end: int
+def stay_status(
+    corpus: Corpus, index: TopicIndex, profiles: dict[str, AuthorProfile], stay_window: int
 ) -> dict[str, bool | None]:
     """stays() of every author with a clustered topic publication."""
     check_stay_window(stay_window)
+    horizon_end = corpus.horizon[1]
     status = {}
-    for author in index.clusters:
+    for author in set().union(*index.clusters.values()):
         p = profiles[author]
         status[author] = stays(p.topic_counts, p.entry_year, stay_window, horizon_end)
     return status
@@ -100,20 +102,16 @@ def cluster_overlay(
     corpus: Corpus,
     index: TopicIndex,
     profiles: dict[str, AuthorProfile],
-    stay_window: int,
+    status: dict[str, bool | None],
 ) -> list[ClusterOverlayRow]:
-    """One row per cluster holding at least one clustered topic publication."""
+    """One row per cluster holding at least one clustered topic publication;
+    status is stay_status() of the same index and profiles."""
     if not corpus.clusters:
         raise ValueError("cluster metadata is required for overlays")
-    status = _stay_status(index, profiles, stay_window, corpus.horizon[1])
-    members: dict[str, list[AuthorProfile]] = {}
-    for author, cluster_ids in index.clusters.items():
-        for cluster_id in cluster_ids:
-            members.setdefault(cluster_id, []).append(profiles[author])
     rows = []
-    for cluster_id in sorted(members):
+    for cluster_id in sorted(index.clusters):
         meta = corpus.clusters[cluster_id]
-        group = members[cluster_id]
+        group = [profiles[a] for a in index.clusters[cluster_id]]
         n = len(group)
         conflict = n > meta.total_authors
         if conflict:
@@ -154,10 +152,10 @@ def area_rollup(
     corpus: Corpus,
     index: TopicIndex,
     profiles: dict[str, AuthorProfile],
-    stay_window: int,
+    status: dict[str, bool | None],
 ) -> list[AreaRollup]:
-    """Aggregate overlay rows per research area (deduplicating authors)."""
-    status = _stay_status(index, profiles, stay_window, corpus.horizon[1])
+    """Aggregate overlay rows per research area (deduplicating authors);
+    status is stay_status() of the same index and profiles."""
     area_rows: dict[str, list[ClusterOverlayRow]] = {}
     for row in overlay_rows:
         area_rows.setdefault(row.area, []).append(row)

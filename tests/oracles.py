@@ -22,6 +22,7 @@ from communitylens.corpus import (
     ClusterMeta,
     Corpus,
     MalformedRecordError,
+    MissingCareerError,
     TopicIndex,
     _compile_terms,
     _csv_rows,
@@ -52,7 +53,8 @@ def make_corpus(pubs, careers=None, clusters=None, horizon=(2008, 2017), topics=
     """
     y0, y1 = horizon
     cluster_map = {cid: ClusterMeta(cid, *meta) for cid, meta in (clusters or {}).items()}
-    indexes = {topic: TopicIndex() for topic in topics}
+    # topic -> (author -> year -> records, cluster id -> authors)
+    found = {topic: ({}, {}) for topic in topics}
     derived: dict[str, dict[int, int]] = {}
     for item in pubs:
         year, authors, flags = item[1:4]
@@ -62,17 +64,23 @@ def make_corpus(pubs, careers=None, clusters=None, horizon=(2008, 2017), topics=
                 by_year = derived.setdefault(a, {})
                 by_year[year] = by_year.get(year, 0) + 1
         if y0 <= year <= y1:
-            known = cluster_id if cluster_id in cluster_map else None
             for topic in dict.fromkeys(flags):
-                indexes.setdefault(topic, TopicIndex()).add(year, authors, known)
+                counts, members = found.setdefault(topic, ({}, {}))
+                for a in authors:
+                    by_year = counts.setdefault(a, {})
+                    by_year[year] = by_year.get(year, 0) + 1
+                if cluster_id in cluster_map:
+                    members.setdefault(cluster_id, set()).update(authors)
     if careers is None:
         career_map = {a: AuthorCareer(a, min(by), by) for a, by in derived.items()}
     else:
         career_map = {
             a: AuthorCareer(a, yfp, dict(by_year)) for a, (yfp, by_year) in careers.items()
         }
-    for index in indexes.values():
-        index.sort_authors()
+    indexes = {
+        topic: TopicIndex({a: dict(sorted(counts[a].items())) for a in sorted(counts)}, members)
+        for topic, (counts, members) in found.items()
+    }
     return Corpus(career_map, cluster_map, horizon, indexes)
 
 
@@ -108,7 +116,8 @@ def oracle_indexes(publications_path, topics, clusters_path=None, horizon=(2008,
     Each non-blank line is json.loads'ed; the doc-type filter, the horizon
     drop, the unknown-cluster repair and delineation are then applied record
     by record, once per topic. Returns {topic: (counts, clusters)} in the
-    shape of a TopicIndex, counts ordered by author.
+    shape of a TopicIndex: counts ordered by author, and clusters keyed by
+    cluster id.
     """
     with open(publications_path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
@@ -135,7 +144,7 @@ def oracle_indexes(publications_path, topics, clusters_path=None, horizon=(2008,
                 by_year = counts.setdefault(a, {})
                 by_year[year] = by_year.get(year, 0) + 1
                 if rec.get("cluster_id") in known:
-                    clusters.setdefault(a, set()).add(rec["cluster_id"])
+                    clusters.setdefault(rec["cluster_id"], set()).add(a)
         out[topic] = ({a: counts[a] for a in sorted(counts)}, clusters)
     return out
 
@@ -201,6 +210,33 @@ def oracle_careers_csv(path):
         conflicts.sort()
         raise CareerConflictError(conflicts)
     return careers
+
+
+def oracle_career_check(publications_path, careers_path, doc_types=None):
+    """The error with which load_corpus rejects a careers file that loads, or
+    None: every author of oracle_careers must have a career, and each of their
+    years must come no earlier than its yfp and count no more records than it
+    lists. The careers file is read with csv.DictReader."""
+    observed = oracle_careers(publications_path, doc_types)
+    supplied = {}
+    with open(careers_path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            yfp, counts = supplied.setdefault(row["author_id"], (int(row["yfp"]), {}))
+            year = int(row["year"])
+            counts[year] = counts.get(year, 0) + int(row["count"])
+    missing = sorted(a for a in observed if a not in supplied)
+    if missing:
+        return MissingCareerError(missing)
+    conflicts = []
+    for author, by_year in observed.items():
+        yfp, counts = supplied[author]
+        for year, n in by_year.items():
+            if year < yfp:
+                conflicts.append((author, f"record in {year} precedes yfp {yfp}"))
+            elif counts.get(year, 0) < n:
+                conflicts.append((author, f"{n} record(s) in {year} exceed career count "
+                                          f"{counts.get(year, 0)}"))
+    return CareerConflictError(sorted(conflicts)) if conflicts else None
 
 
 # --- cohort oracle ------------------------------------------------------------

@@ -31,7 +31,7 @@ from communitylens.indicators import (
     production_bands,
     year_summaries,
 )
-from communitylens.overlay import cluster_overlay
+from communitylens.overlay import cluster_overlay, stay_status
 from communitylens.reports import (
     emit_bands_csv,
     emit_cohorts_csv,
@@ -174,7 +174,9 @@ def test_criterion_4_oracle_equivalence():
                 groups = {a.author_id: a.group for a in result.assignments}
                 assert groups == want_quadrants["groups"]
 
-        overlay = {r.cluster_id: r for r in cluster_overlay(corpus, topic_activity(corpus, topic), profiles, window)}
+        index = topic_activity(corpus, topic)
+        status = stay_status(corpus, index, profiles, window)
+        overlay = {r.cluster_id: r for r in cluster_overlay(corpus, index, profiles, status)}
         want_overlay = oracle_overlay(
             raw_pubs, raw_careers, raw_clusters, topic, corpus.horizon, window, want_profiles
         )
@@ -203,7 +205,8 @@ def test_criterion_5_invariant_suite():
             emit_indicators_csv(year_summaries(corpus, "alpha"), raw=True),
             emit_bands_csv(production_bands(profiles), raw=True),
         ]
-        overlay = cluster_overlay(corpus, topic_activity(corpus, "alpha"), profiles, 2)
+        index = topic_activity(corpus, "alpha")
+        overlay = cluster_overlay(corpus, index, profiles, stay_status(corpus, index, profiles, 2))
         parts.append(emit_overlay_csv(overlay, raw=True))
         parts.append(emit_map_csv(overlay, "p_au"))
         return "".join(parts)

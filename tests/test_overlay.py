@@ -11,7 +11,7 @@ import pytest
 from communitylens.cli import main
 from communitylens.cohorts import topic_activity
 from communitylens.indicators import author_profiles
-from communitylens.overlay import ClusterOverlayRow, area_rollup, cluster_overlay
+from communitylens.overlay import ClusterOverlayRow, area_rollup, cluster_overlay, stay_status
 from communitylens.reports import emit_map_csv, emit_map_json
 from communitylens.synthgen import GeneratorConfig, generate
 
@@ -31,9 +31,9 @@ MATHS = "Mathematics & Computer Science"
 def overlay_pipeline(corpus, topic="bd", window=2):
     index = topic_activity(corpus, topic)
     profiles = author_profiles(corpus, topic)
-    overlay = cluster_overlay(corpus, index, profiles, window)
-    areas = area_rollup(overlay, corpus=corpus, index=index, profiles=profiles,
-                        stay_window=window)
+    status = stay_status(corpus, index, profiles, window)
+    overlay = cluster_overlay(corpus, index, profiles, status)
+    areas = area_rollup(overlay, corpus=corpus, index=index, profiles=profiles, status=status)
     return overlay, areas
 
 
@@ -177,8 +177,10 @@ def test_overlay_run_builds_no_cohort_series(tmp_path, monkeypatch):
 
 def test_overlay_requires_metadata(bd2012_corpus):
     profiles = author_profiles(bd2012_corpus, "big data")
+    index = topic_activity(bd2012_corpus, "big data")
+    status = stay_status(bd2012_corpus, index, profiles, 2)
     with pytest.raises(ValueError):
-        cluster_overlay(bd2012_corpus, topic_activity(bd2012_corpus, "big data"), profiles, 2)
+        cluster_overlay(bd2012_corpus, index, profiles, status)
 
 
 def test_p_stay_pools_eligible_entries():

@@ -13,7 +13,7 @@ from communitylens.classify import (
 from communitylens.cohorts import ALL_AUTHORS, NEW_AUTHORS, cohort_series, topic_activity
 from communitylens.corpus import _compile_terms, _matches
 from communitylens.indicators import author_profiles, production_bands
-from communitylens.overlay import cluster_overlay
+from communitylens.overlay import cluster_overlay, stay_status
 from communitylens.reports import (
     emit_bands_csv,
     emit_cohorts_csv,
@@ -140,7 +140,9 @@ def test_record_order_never_changes_reports(seed, shuffle_seed):
             emit_bands_csv(production_bands(profiles), raw=True),
         ]
         if c.clusters:
-            parts.append(emit_overlay_csv(cluster_overlay(c, topic_activity(c, "alpha"), profiles, 2)))
+            index = topic_activity(c, "alpha")
+            status = stay_status(c, index, profiles, 2)
+            parts.append(emit_overlay_csv(cluster_overlay(c, index, profiles, status)))
         return "".join(parts)
 
     assert render(corpus) == render(shuffled)

@@ -2,9 +2,9 @@
 
 ``load_corpus(..., topics=...)`` keeps no records and builds each topic's
 TopicIndex as it reads the file. Each index must equal the brute-force index
-of ``oracles.oracle_indexes``, author order included, and the load's checks
-and counts (its LoadReport, careers and clusters) must not depend on which
-topics it indexes.
+of ``oracles.oracle_indexes``, author order and ascending years included, and
+the load's checks and counts (its LoadReport, careers and clusters) must not
+depend on which topics it indexes.
 """
 
 import json
@@ -14,10 +14,18 @@ import pytest
 
 from communitylens import cli
 from communitylens.cohorts import cohort_series, topic_activity
-from communitylens.corpus import DEFAULT_HORIZON, load_corpus
+from communitylens.corpus import (
+    DEFAULT_HORIZON,
+    AuthorCareer,
+    ClusterMeta,
+    CorpusError,
+    load_corpus,
+    write_careers_csv,
+    write_clusters_csv,
+)
 from communitylens.synthgen import GeneratorConfig, generate
 
-from oracles import oracle_careers, oracle_indexes
+from oracles import oracle_career_check, oracle_careers, oracle_indexes
 
 
 def assert_indexes_match(corpus, topics, path, clusters_path=None, **kwargs):
@@ -29,6 +37,7 @@ def assert_indexes_match(corpus, topics, path, clusters_path=None, **kwargs):
         assert index is corpus.topic_indexes[topic]
         counts, clusters = expected[topic]
         assert list(index.counts.items()) == list(counts.items())
+        assert all(list(by_year) == sorted(by_year) for by_year in index.counts.values())
         assert index.clusters == clusters
 
 
@@ -169,3 +178,73 @@ def test_cli_loads_without_records(bd2012_paths, tmp_path, monkeypatch):
             "--out", str(tmp_path / "compare-b")]
     assert cli.main(argv) == 0
     assert [c[1] for c in calls] == [("big data",), ("big data",)]
+
+
+def tally_records(rng):
+    """Records that stress the load's per-year tallies: a1 has many records
+    in 2012, records are drawn in no year order, and records dropped by doc
+    type or by the horizon share author-years with kept ones."""
+    records = []
+
+    def add(year, authors, flags, cluster_id=None, doc_type="article"):
+        records.append({"pub_id": f"p{len(records)}", "year": year, "authors": authors,
+                        "topic_flags": flags, "cluster_id": cluster_id, "doc_type": doc_type})
+
+    for i in range(15):
+        add(2012, ["a1", "a2"] if i % 4 == 0 else ["a1"], ["t"], ("k1", "k2", "k9")[i % 3])
+    add(2012, ["a1", "a3"], ["t"], "k1", doc_type="letter")
+    add(2012, ["a2"], ["t", "u"], "k2", doc_type="letter")
+    add(2006, ["a1", "a3"], ["t"], "k1")
+    add(2006, ["a1"], ["u"])
+    add(2006, ["a3"], [], doc_type="letter")
+    pool = [f"a{j}" for j in range(1, 10)]
+    for _ in range(80):
+        add(rng.randint(2004, 2017), rng.sample(pool, rng.randint(1, 4)),
+            rng.choice([["t"], ["u"], ["t", "u"], []]), rng.choice(["k1", "k2", "k9", None]),
+            rng.choice(["article", "article", "letter"]))
+    return records
+
+
+def test_tallies_match_oracles_under_shuffled_order(tmp_path):
+    """Indexes and career errors from per-year tallies: the careers file
+    under-counts a1's 2012 and omits a9, and every shuffle of the records
+    loads, or fails, as the oracles say."""
+    rng = random.Random(17)
+    records = tally_records(rng)
+    pubs, careers_path, clusters_path = (tmp_path / n for n in ("p.jsonl", "c.csv", "k.csv"))
+    write_clusters_csv(clusters_path, {
+        "k1": ClusterMeta("k1", "one", "Life & Earth Sciences", 50, 0.0, 0.0),
+        "k2": ClusterMeta("k2", "two", "Social Sciences & Humanities", 50, 1.0, 1.0),
+    })
+    pubs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    observed = oracle_careers(pubs, ["article"])
+    assert observed["a1"][2012] >= 15 and 2006 in observed["a1"]
+
+    def write_careers(under=0, omit=()):
+        careers = {}
+        for author, by_year in observed.items():
+            by_year = {y: n + 1 for y, n in by_year.items()}  # careers hold more than the corpus
+            if author == "a1":
+                by_year[2012] -= 1 + under
+            if author not in omit:
+                careers[author] = AuthorCareer(author, min(by_year), by_year)
+        write_careers_csv(careers_path, careers)
+
+    topics = ("t", "u")
+    kwargs = dict(doc_types=["article"])
+    for _ in range(3):
+        rng.shuffle(records)
+        pubs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        write_careers()
+        assert oracle_career_check(pubs, careers_path, ["article"]) is None
+        load_checked(str(pubs), topics, str(careers_path), str(clusters_path), **kwargs)
+        load_checked(str(pubs), topics, None, str(clusters_path), **kwargs)
+        n = observed["a1"][2012]
+        for omit, text in ((("a9",), "1 author(s) missing from careers file: a9"),
+                           ((), f"1 career conflict(s): a1: {n} record(s) in 2012 exceed career count {n - 1}")):
+            write_careers(under=1, omit=omit)
+            want = oracle_career_check(pubs, careers_path, ["article"])
+            assert str(want) == text
+            with pytest.raises(CorpusError) as err:
+                load_corpus(str(pubs), str(careers_path), str(clusters_path), topics=topics, **kwargs)
+            assert (type(err.value), str(err.value)) == (type(want), text)
