@@ -13,24 +13,25 @@ dominated by one-paper authors and a 100%-focus boundary where the top
 quartile is saturated. Plain strict (>) and inclusive (>=) rules without
 promotion are available for sensitivity runs.
 
-Cutoffs are exact. The values are sorted by float(), which is correctly
-rounded for ints and Fractions and so never reverses an order; then each run
-of equal floats that holds distinct values is re-sorted exactly.
+Cutoffs are exact, and the work is done once per distinct value: authors
+hold few distinct (production, focus) values, so the values are tallied,
+only the distinct ones are ordered, and the nearest rank is found from the
+running counts. Each group is decided once per distinct pair.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, _count_elements
 from fractions import Fraction
-from operator import attrgetter
-from typing import NamedTuple
+from itertools import accumulate, starmap
+from operator import attrgetter, truediv
+from typing import Iterable, NamedTuple
 
 from .cohorts import TopicIndex
 from .corpus import Corpus, Record
 from .indicators import AuthorProfile
-from .rounding import percent
+from .rounding import Rational, percent, ratio_key
 
 GROUPS = ("specialist", "interested", "casual", "incidental")
 
@@ -39,6 +40,9 @@ STRICT = "strict"
 INCLUSIVE = "inclusive"
 
 RULES = (PROMOTE, STRICT, INCLUSIVE)
+
+_production = attrgetter("production_total")
+_focus = attrgetter("focus_overall")
 
 
 class DegenerateDistributionError(Exception):
@@ -88,48 +92,21 @@ class QuadrantThresholds(NamedTuple):
         return lhs >= rhs
 
 
-_ratio = attrgetter("numerator", "denominator")
-
-
-def _nearest_rank_p75(values: list) -> Fraction:
-    # values ascending; rank = ceil(0.75 n), 1-based
-    rank = math.ceil(Fraction(3, 4) * len(values))
-    return values[rank - 1]
-
-
-def _exact_sorted(values: list) -> list:
-    """values (ints or Fractions) in exact ascending order.
-
-    float() of either is correctly rounded, so it never reverses an order:
-    the float order is exact except within a run of equal floats that holds
-    distinct values, and only such runs are re-sorted with exact comparisons.
-    Normalised (numerator, denominator) pairs tell distinct values apart
-    without running Fraction.__eq__ or __lt__ on every element.
-    """
-    ordered = sorted(values, key=float)
-    keys = list(map(float, ordered))
-    if len(set(keys)) == len(set(map(_ratio, ordered))):
-        return ordered  # one value per float
-    start = 0
-    while start < len(ordered):
-        end = bisect_right(keys, keys[start], start)
-        run = ordered[start:end]
-        if len(set(map(_ratio, run))) > 1:
-            ordered[start:end] = sorted(run)
-        start = end
-    return ordered
-
-
-def _resolve_one(values: list, indicator: str, rule: str) -> CutTrace:
-    values = _exact_sorted(values)
-    if values[0] == values[-1]:
-        raise DegenerateDistributionError(indicator, values[0])
-    raw = _nearest_rank_p75(values)
-    cutoff = raw
-    promoted = False
-    if rule == PROMOTE and raw == values[0]:
-        cutoff = values[bisect_right(values, raw)]
-        promoted = True
+def _resolve_one(keyed: Iterable[tuple[float, Rational, int]], indicator: str,
+                 rule: str) -> CutTrace:
+    """The cutoff of a distribution given as one (float, exact value, number
+    of authors) triple per distinct value."""
+    # the float is correctly rounded, so it never reverses an order; distinct
+    # values that share a float are ordered by the exact comparison that the
+    # tuple order falls back to
+    ordered = sorted(keyed)
+    if len(ordered) == 1:
+        raise DegenerateDistributionError(indicator, ordered[0][1])
+    running = list(accumulate(n for _, _, n in ordered))
+    rank = (3 * running[-1] + 3) // 4  # nearest rank ceil(0.75 n), 1-based
+    i = bisect_left(running, rank)
+    promoted = rule == PROMOTE and i == 0
+    raw, cutoff = ordered[i][1], ordered[1 if promoted else i][1]
     return CutTrace(raw_percentile=Fraction(raw), cutoff=Fraction(cutoff), promoted=promoted)
 
 
@@ -141,9 +118,16 @@ def resolve_thresholds(
     if not profiles:
         raise ValueError("cannot resolve thresholds without profiles")
     check_rule(rule)
-    items = list(profiles.values())
-    production = _resolve_one([p.production_total for p in items], "production", rule)
-    focus = _resolve_one([p.focus_overall for p in items], "focus", rule)
+    items = profiles.values()
+    productions: dict[int, int] = {}
+    _count_elements(productions, map(_production, items))
+    ratios: dict[tuple[int, int], int] = {}
+    _count_elements(ratios, map(ratio_key, map(_focus, items)))
+    production = _resolve_one(zip(map(float, productions), productions, productions.values()),
+                              "production", rule)
+    # n / d of ints is correctly rounded too
+    focus = _resolve_one(zip(starmap(truediv, ratios), starmap(Fraction, ratios), ratios.values()),
+                         "focus", rule)
     return QuadrantThresholds(
         production_cutoff=int(production.cutoff),
         focus_cutoff=focus.cutoff,
@@ -204,11 +188,16 @@ def classify_authors(
     """
     assignments = []
     counts = {g: 0 for g in GROUPS}
+    decided: dict[tuple, str] = {}  # (production, focus ratio) -> group
     for author_id in sorted(profiles):
         p = profiles[author_id]
-        group = assign_group(thresholds, p.production_total, p.focus_overall)
+        production, focus = p.production_total, p.focus_overall
+        key = (production, ratio_key(focus))
+        group = decided.get(key)
+        if group is None:
+            group = decided[key] = assign_group(thresholds, production, focus)
         counts[group] += 1
-        assignments.append(QuadrantAssignment(author_id, group, p.production_total, p.focus_overall))
+        assignments.append(QuadrantAssignment(author_id, group, production, focus))
     community = GroupShares(total=len(assignments), counts=counts)
 
     by_area: dict[str, GroupShares] | None = None

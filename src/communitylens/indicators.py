@@ -88,6 +88,9 @@ def author_profiles(
     if missing:
         raise MissingCareerError(sorted(missing))
     totals = corpus.horizon_totals
+    # most authors hold one of a few (production, career total) pairs, which
+    # then share one immutable focus Fraction
+    shared: dict[tuple[int, int], Fraction] = {}
     profiles: dict[str, AuthorProfile] = {}
     for author, topic_counts in index.counts.items():
         career = careers[author]
@@ -109,7 +112,9 @@ def author_profiles(
                 career_total = totals[author] = sum(
                     n for y, n in pubs_by_year.items() if y0 <= y <= y1
                 )
-            focus = Fraction(100 * production, career_total)
+            focus = shared.get((production, career_total))
+            if focus is None:
+                focus = shared[production, career_total] = Fraction(100 * production, career_total)
         else:
             den, num = _sum_over_lcm([(career_counts[y], 100 * n) for y, n in topic_counts.items()])
             focus = mean(Fraction(num, den), len(topic_counts))

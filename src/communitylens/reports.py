@@ -26,7 +26,7 @@ from . import __version__
 from .classify import GROUPS, ClassificationResult
 from .cohorts import ALL_AUTHORS, NEW_AUTHORS, YearCohorts
 from .indicators import ProductionBand, YearIndicatorSummary
-from .rounding import format_fixed
+from .rounding import format_fixed, ratio_key
 
 Columns = tuple[tuple[str, Callable[[object], object]], ...]
 
@@ -101,6 +101,8 @@ BAND_DIFFERENCE_COLUMNS = BAND_COLUMNS[:1] + BAND_COLUMNS[3:]
 
 QUADRANT_AUTHOR_COLUMNS = _columns("author_id", "production_total", "focus_overall", "group")
 QUADRANT_AUTHOR_RAW = ("focus_overall",)
+# authors hold few distinct focus values
+QUADRANT_AUTHOR_SHARED = ("focus_overall",)
 
 # quadrant summary rows are (scope, area, group, n_authors, share) tuples
 QUADRANT_SUMMARY_COLUMNS = tuple(
@@ -127,17 +129,28 @@ AREA_RAW = ("avg_p_au", "avg_p_stay", "pooled_p_stay", "mean_lag")
 FIELD_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
 
 
-def _table(rows: Iterable, columns: Columns, raw: Sequence[str] = ()) -> str:
+def _table(rows: Iterable, columns: Columns, raw: Sequence[str] = (),
+           shared: Sequence[str] = ()) -> str:
     """CSV text: the column names, then one line of cells per row.
 
     Each name in `raw` repeats that column at full precision as NAME_raw.
+    Each name in `shared` is a column of rationals that rows share: its cells
+    are formatted once per distinct value, keyed by the exact ratio_key.
     """
-    getters = dict(columns)
-    cells = [(cell, get) for _, get in columns] + [(raw_cell, getters[name]) for name in raw]
+    rows = list(rows)
+    values = {name: list(map(get, rows)) for name, get in columns}
+    cells = []
+    for fmt, name in [(cell, name) for name, _ in columns] + [(raw_cell, name) for name in raw]:
+        if name in shared:
+            keys = list(map(ratio_key, values[name]))
+            text = {key: fmt(value) for key, value in dict(zip(keys, values[name])).items()}
+            cells.append(map(text.__getitem__, keys))
+        else:
+            cells.append(map(fmt, values[name]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([name for name, _ in columns] + [f"{name}_raw" for name in raw])
-    writer.writerows([fmt(get(row)) for fmt, get in cells] for row in rows)
+    writer.writerows(zip(*cells))
     return buf.getvalue()
 
 
@@ -165,7 +178,8 @@ def emit_bands_csv(bands: Sequence[ProductionBand], *, raw: bool = False) -> str
 
 
 def emit_quadrant_authors_csv(result: ClassificationResult, *, raw: bool = False) -> str:
-    return _table(result.assignments, QUADRANT_AUTHOR_COLUMNS, QUADRANT_AUTHOR_RAW if raw else ())
+    return _table(result.assignments, QUADRANT_AUTHOR_COLUMNS, QUADRANT_AUTHOR_RAW if raw else (),
+                  QUADRANT_AUTHOR_SHARED)
 
 
 def quadrant_rows(result: ClassificationResult, areas: Iterable[str]) -> list[tuple]:

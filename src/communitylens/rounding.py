@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 Rational = int | Fraction
+
+#: The exact key of a rational: its normalised (numerator, denominator). A
+#: Fraction hashes in Python on every lookup, and a float key would merge
+#: distinct values, which may round to different cells.
+ratio_key = attrgetter("numerator", "denominator")
 
 
 def format_fixed(value: Rational, digits: int = 1) -> str:

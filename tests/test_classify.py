@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from communitylens.classify import (
     GROUPS,
@@ -90,7 +90,26 @@ def test_float_twins_straddling_p75_rank_in_reverse_order():
     assert t.production_cutoff == big + 1 and t.production_trace.promoted
 
 
+# Heavy ties, with equal focus values held as distinct Fraction objects.
+_LAST_COPY = ([(1, Fraction(10))] * 2 + [(2, Fraction(20 * k, k)) for k in range(1, 5)]
+              + [(3, Fraction(30))] * 2)
+_SATURATED_MINIMUM = ([(1, Fraction(50 * k, k)) for k in range(1, 31)] + [(2, Fraction(100))] * 3
+                      + [(5, Fraction(90))])
+_ONE_PRODUCTION = [(3, Fraction(k, 7)) for k in range(40)]
+_ONE_FOCUS = [(k % 5 + 1, Fraction(100 * k, 3 * k)) for k in range(1, 41)]
+
+
 @settings(max_examples=300, deadline=None)
+@example(_LAST_COPY, PROMOTE)  # rank 6 of 8 is the last 2 (and the last 20)
+@example(_LAST_COPY, STRICT)
+@example(_LAST_COPY, INCLUSIVE)
+# productions [1, 1, 1, 2] and focus [50, 50, 50, 100] promote to 2 and 100
+@example([(1, Fraction(50)), (1, Fraction(100, 2)), (1, Fraction(50)), (2, Fraction(100))], PROMOTE)
+@example(_SATURATED_MINIMUM, PROMOTE)  # rank 26 of 34 is the minimum: promote to 2 and 90
+@example(_SATURATED_MINIMUM, STRICT)
+@example(_SATURATED_MINIMUM, INCLUSIVE)
+@example(_ONE_PRODUCTION, PROMOTE)
+@example(_ONE_FOCUS, STRICT)
 @given(
     st.lists(
         st.tuples(
@@ -106,10 +125,18 @@ def test_resolve_thresholds_matches_oracle_cutoff(pairs, rule):
     profiles = value_profiles(pairs)
     productions = [p for p, _ in pairs]
     focuses = [f for _, f in pairs]
-    if len(set(productions)) == 1 or len(set(focuses)) == 1:
+    want_groups = oracle_classify(
+        {a: {"production": p, "focus": f} for a, (p, f) in zip(profiles, pairs)}, rule
+    )
+    if want_groups is None:
+        indicator, value = (("production", productions[0]) if len(set(productions)) == 1
+                            else ("focus", focuses[0]))
         with pytest.raises(DegenerateDistributionError) as err:
             resolve_thresholds(profiles, rule)
-        assert err.value.indicator == ("production" if len(set(productions)) == 1 else "focus")
+        assert err.value.indicator == indicator
+        assert str(err.value) == (
+            f"cannot resolve a quadrant cutoff: every author has {indicator} = {value}"
+        )
         return
     t = resolve_thresholds(profiles, rule)
     for values, trace, cutoff in (
@@ -120,6 +147,8 @@ def test_resolve_thresholds_matches_oracle_cutoff(pairs, rule):
         assert cutoff == trace.cutoff == want
         assert trace.promoted == promoted
         assert trace.raw_percentile == sorted(values)[math.ceil(0.75 * len(values)) - 1]
+    result = classify_authors(profiles, t)
+    assert {a.author_id: a.group for a in result.assignments} == want_groups["groups"]
 
 
 def test_nearest_rank_examples():

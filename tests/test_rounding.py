@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from communitylens.classify import ClassificationResult, QuadrantAssignment
+from communitylens.reports import cell, emit_quadrant_authors_csv, raw_cell
 from communitylens.rounding import (
     format_fixed,
     mean,
@@ -100,3 +102,26 @@ def test_mean_exact_over_distinct_prime_denominators():
     primes = [p for p in primes if all(p % q for q in range(101, int(p**0.5) + 1))]
     values = [Fraction(k, p) for k, p in enumerate(primes, 1)] + [7, Fraction(7)]
     assert mean_exact(values) == sum(map(Fraction, values)) / len(values)
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_quadrant_author_cells_keyed_by_exact_value(raw):
+    # equal values as distinct objects, and two values that share a float but
+    # round to different cells: a cache keyed by float() would merge them
+    half = Fraction(1, 20)
+    below = half - Fraction(1, 10**30)
+    assert float(below) == float(half)
+    focuses = [half, below, Fraction(2, 40), Fraction(100, 3), below + 0, Fraction(200, 6), half]
+    assignments = [
+        QuadrantAssignment(f"a{i}", "incidental", i % 3 + 1, focus)
+        for i, focus in enumerate(focuses)
+    ]
+    result = ClassificationResult(None, assignments, None, None)
+    header = "author_id,production_total,focus_overall,group" + (",focus_overall_raw" if raw else "")
+    rows = [
+        ",".join([cell(a.author_id), cell(a.production_total), cell(a.focus_overall), cell(a.group)]
+                 + ([raw_cell(a.focus_overall)] if raw else []))
+        for a in assignments
+    ]
+    assert emit_quadrant_authors_csv(result, raw=raw) == "\n".join([header, *rows]) + "\n"
+    assert [row.split(",")[2] for row in rows] == ["0.1", "0.0", "0.1", "33.3", "0.0", "33.3", "0.1"]
