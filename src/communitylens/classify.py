@@ -160,7 +160,8 @@ class GroupShares(NamedTuple):
 
 class ClassificationResult(NamedTuple):
     thresholds: QuadrantThresholds
-    assignments: list[QuadrantAssignment]  # ordered by author_id
+    # in the profiles' order, which author_profiles makes author_id order
+    assignments: list[QuadrantAssignment]
     community: GroupShares
     by_area: dict[str, GroupShares] | None  # None without cluster metadata
 
@@ -189,8 +190,7 @@ def classify_authors(
     assignments = []
     counts = {g: 0 for g in GROUPS}
     decided: dict[tuple, str] = {}  # (production, focus ratio) -> group
-    for author_id in sorted(profiles):
-        p = profiles[author_id]
+    for author_id, p in profiles.items():
         production, focus = p.production_total, p.focus_overall
         key = (production, ratio_key(focus))
         group = decided.get(key)

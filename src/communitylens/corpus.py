@@ -21,12 +21,11 @@ interned, since no kept record would share them.
 Records outside the analysis horizon are dropped at load (and counted), so
 the indexes only ever hold within-horizon activity. Each author's per-year
 record counts are taken before the horizon drop, so an author's first year and
-totals reflect every parsed record. Supplied careers are checked against a
-per-year tally of those counts (year -> author -> records), which takes one
-C-level call per record; derived careers are the per-author counts
-themselves, built one author at a time, with interned years. Each topic index
-tallies its records the same way and becomes per-author counts once the file
-is read.
+totals reflect every parsed record. They are one tally (year -> author ->
+records), one C-level call per record, whatever the careers source: supplied
+careers are checked against it, and derived careers are built from it once the
+file is read, in author_id order with each author's years ascending. Each
+topic index tallies its records the same way.
 
 Loading is the only corpus check. Every defect (undecodable or malformed
 line, duplicate pub_id, missing or conflicting career) raises a CorpusError
@@ -493,11 +492,15 @@ def _check_careers(careers: dict[str, AuthorCareer],
 def _counts_by_author(by_year: dict[int, dict[str, int]]) -> dict[str, dict[int, int]]:
     """author -> {year: records} from year -> {author: records}, ordered by
     author_id with each author's years ascending. Empties ``by_year``."""
-    counts: dict[str, dict[int, int]] = {a: {} for a in sorted(set().union(*by_year.values()))}
+    counts: dict[str, dict[int, int]] = {}
     for year in sorted(by_year):
         for author, n in by_year.pop(year).items():
-            counts[author][year] = n
-    return counts
+            years = counts.get(author)
+            if years is None:
+                counts[author] = {year: n}
+            else:
+                years[year] = n
+    return {a: counts[a] for a in sorted(counts)}
 
 
 def load_corpus(
@@ -547,15 +550,9 @@ def load_corpus(
     # cluster id is the metadata's own string
     indexed = tuple((topic, defaultdict(dict), defaultdict(set)) for topic in dict.fromkeys(topics))
     seen_ids: set[str] = set()
-    # Records surviving the doc-type filter, out-of-horizon ones included.
-    # Supplied careers are checked against their tally, year -> author ->
-    # records. Derived careers are author -> year -> records, built one author
-    # at a time; years repeat millions of times across those dicts, so they are
-    # interned there. Author ids are not interned, because no record is kept to
-    # share them with.
+    # year -> author -> records surviving the doc-type filter, out-of-horizon
+    # ones included: the careers, derived from it or checked against it
     observed_by_year: defaultdict[int, dict[str, int]] = defaultdict(dict)
-    intern_year: dict[int, int] = {}
-    observed: dict[str, dict[int, int]] = {}
     # the LoadReport's counts, built into it once the file is read
     parsed = dropped_doc_type = dropped_out_of_horizon = delineated = unknown_clusters = 0
     unknown_samples: list[tuple[str, str]] = []
@@ -621,16 +618,7 @@ def load_corpus(
                     dropped_doc_type += 1
                     continue
 
-                if careers is None:
-                    year = intern_year.setdefault(year, year)
-                    for a in authors:
-                        by_year = observed.get(a)
-                        if by_year is None:
-                            observed[a] = {year: 1}
-                        else:
-                            by_year[year] = by_year.get(year, 0) + 1
-                else:
-                    _count_elements(observed_by_year[year], authors)
+                _count_elements(observed_by_year[year], authors)
 
                 if not y0 <= year <= y1:
                     dropped_out_of_horizon += 1
@@ -689,9 +677,10 @@ def load_corpus(
     except UnicodeDecodeError:
         raise _undecodable_line(source, newline=None) from None
 
-    del seen_ids, intern_year
+    del seen_ids
     if careers is None:
-        careers = {a: AuthorCareer(a, min(by_year), by_year) for a, by_year in observed.items()}
+        careers = {a: AuthorCareer(a, next(iter(by_year)), by_year)
+                   for a, by_year in _counts_by_author(observed_by_year).items()}
     else:
         _check_careers(careers, observed_by_year)
     del observed_by_year

@@ -56,9 +56,11 @@ def load_checked(path, topics, careers=None, clusters=None, horizon=DEFAULT_HORI
     assert_indexes_match(corpus, topics, path, clusters, **kwargs)
     if careers is None:
         expected = oracle_careers(path, kwargs.get("doc_types"))
-        assert [(a, c.first_year, c.pubs_by_year) for a, c in corpus.careers.items()] == [
-            (a, min(by_year), by_year) for a, by_year in expected.items()
-        ]
+        assert {a: (c.first_year, c.pubs_by_year) for a, c in corpus.careers.items()} == {
+            a: (min(by_year), by_year) for a, by_year in expected.items()
+        }
+        assert list(corpus.careers) == sorted(expected)
+        assert all(list(c.pubs_by_year) == sorted(c.pubs_by_year) for c in corpus.careers.values())
     return corpus
 
 
@@ -132,6 +134,34 @@ def test_synthgen_corpora(tmp_path, seed):
         assert bool(corpus.topic_indexes["beta"].clusters) == (cluster_path is not None)
     assert report.unknown_cluster_count == 0
     assert load_corpus(mixed, None, clusters, topics=()).load_report.unknown_cluster_count > 0
+
+
+def test_derived_careers_round_trip(tmp_path, monkeypatch):
+    """Careers derived by one load, written out and supplied to the next load
+    with the same options, pass its check and change no report."""
+    monkeypatch.delenv("COMMUNITYLENS_CONFIG", raising=False)
+    generate(GeneratorConfig(seed=1, authors_per_year={y: 12 for y in range(2008, 2018)},
+                             n_clusters=4, n_areas=2, topic="alpha"), tmp_path)
+    pubs, clusters = str(mixed_copy(tmp_path, 1)), str(tmp_path / "clusters.csv")
+    doc_types = ["article", "review"]
+    derived = load_corpus(pubs, None, clusters, doc_types=doc_types)
+    careers = str(tmp_path / "derived.csv")
+    write_careers_csv(careers, derived.careers)
+    assert oracle_career_check(pubs, careers, doc_types) is None
+    supplied = load_corpus(pubs, careers, clusters, doc_types=doc_types)
+    assert supplied.careers == derived.careers
+    assert supplied.load_report == derived.load_report._replace(career_source="supplied")
+
+    def compare_files(*careers_args):
+        out = tmp_path / f"run{len(careers_args)}"
+        argv = ["compare", "--corpus", pubs, *careers_args, "--clusters", clusters,
+                "--doc-types", ",".join(doc_types), "--topic", "alpha", "--topic-b", "beta",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    files = compare_files()
+    assert len(files) > 1 and files == compare_files("--careers", careers)
 
 
 def test_topic_not_indexed_is_an_error(bd2012_paths):
