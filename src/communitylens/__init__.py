@@ -18,7 +18,6 @@ from .cohorts import (
 )
 from .classify import (
     DegenerateDistributionError,
-    QuadrantAssignment,
     QuadrantThresholds,
     classify_authors,
     resolve_thresholds,
@@ -68,7 +67,6 @@ __all__ = [
     "MalformedRecordError",
     "MissingCareerError",
     "ProductionBand",
-    "QuadrantAssignment",
     "QuadrantThresholds",
     "RESEARCH_AREAS",
     "TopicIndex",

@@ -16,7 +16,8 @@ promotion are available for sensitivity runs.
 Cutoffs are exact, and the work is done once per distinct value: authors
 hold few distinct (production, focus) values, so the values are tallied,
 only the distinct ones are ordered, and the nearest rank is found from the
-running counts. Each group is decided once per distinct pair.
+running counts. Each group is decided once per distinct pair, and the result
+maps each author id to its group: production and focus stay on the profiles.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from collections import Counter, _count_elements
 from fractions import Fraction
 from itertools import accumulate, starmap
 from operator import attrgetter, truediv
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .cohorts import TopicIndex
-from .corpus import Corpus, Record
+from .corpus import Corpus
 from .indicators import AuthorProfile
 from .rounding import Rational, percent, ratio_key
 
@@ -111,14 +112,16 @@ def _resolve_one(keyed: Iterable[tuple[float, Rational, int]], indicator: str,
 
 
 def resolve_thresholds(
-    profiles: dict[str, AuthorProfile],
+    profiles: dict[str, AuthorProfile] | Collection[AuthorProfile],
     rule: str = PROMOTE,
 ) -> QuadrantThresholds:
-    """Resolve both cutoffs over the author distribution."""
+    """Resolve both cutoffs over the author distribution: the values of a
+    profiles dict, or any collection of profiles, such as both sides of a
+    pooled comparison."""
     if not profiles:
         raise ValueError("cannot resolve thresholds without profiles")
     check_rule(rule)
-    items = profiles.values()
+    items = profiles.values() if isinstance(profiles, dict) else profiles
     productions: dict[int, int] = {}
     _count_elements(productions, map(_production, items))
     ratios: dict[tuple[int, int], int] = {}
@@ -137,16 +140,6 @@ def resolve_thresholds(
     )
 
 
-class QuadrantAssignment(Record):
-    __slots__ = _fields = ("author_id", "group", "production_total", "focus_overall")
-
-    def __init__(self, author_id: str, group: str, production_total: int, focus_overall: Fraction):
-        self.author_id = author_id
-        self.group = group
-        self.production_total = production_total
-        self.focus_overall = focus_overall
-
-
 class GroupShares(NamedTuple):
     total: int
     counts: dict[str, int]
@@ -158,10 +151,16 @@ class GroupShares(NamedTuple):
         return {g: self.share(g) for g in GROUPS}
 
 
+def _group_shares(groups: Iterable[str]) -> GroupShares:
+    tally = Counter(groups)
+    return GroupShares(total=sum(tally.values()), counts={g: tally[g] for g in GROUPS})
+
+
 class ClassificationResult(NamedTuple):
     thresholds: QuadrantThresholds
-    # in the profiles' order, which author_profiles makes author_id order
-    assignments: list[QuadrantAssignment]
+    # author_id -> group, in the profiles' order, which author_profiles makes
+    # author_id order
+    groups: dict[str, str]
     community: GroupShares
     by_area: dict[str, GroupShares] | None  # None without cluster metadata
 
@@ -181,14 +180,13 @@ def classify_authors(
     corpus: Corpus | None = None,
     index: TopicIndex | None = None,
 ) -> ClassificationResult:
-    """Assign every author a group; share tables per community and per area.
+    """Map every author id to a group; share tables per community and per area.
 
     Area shares need the corpus's cluster metadata and the topic index, which
     locates each author's clustered topic publications; an author counts once
     in every area where they have one. Without cluster metadata by_area is None.
     """
-    assignments = []
-    counts = {g: 0 for g in GROUPS}
+    groups: dict[str, str] = {}
     decided: dict[tuple, str] = {}  # (production, focus ratio) -> group
     for author_id, p in profiles.items():
         production, focus = p.production_total, p.focus_overall
@@ -196,15 +194,12 @@ def classify_authors(
         group = decided.get(key)
         if group is None:
             group = decided[key] = assign_group(thresholds, production, focus)
-        counts[group] += 1
-        assignments.append(QuadrantAssignment(author_id, group, production, focus))
-    community = GroupShares(total=len(assignments), counts=counts)
+        groups[author_id] = group
+    community = _group_shares(groups.values())
 
     by_area: dict[str, GroupShares] | None = None
     if corpus is not None and corpus.clusters and index is not None:
-        group_of = {a.author_id: a.group for a in assignments}
         by_area = {}
         for area, authors in sorted(index.area_authors(corpus.clusters).items()):
-            tally = Counter(map(group_of.__getitem__, authors))
-            by_area[area] = GroupShares(total=len(authors), counts={g: tally[g] for g in GROUPS})
-    return ClassificationResult(thresholds, assignments, community, by_area)
+            by_area[area] = _group_shares(map(groups.__getitem__, authors))
+    return ClassificationResult(thresholds, groups, community, by_area)

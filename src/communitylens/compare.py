@@ -13,7 +13,7 @@ side a cell by cell in exact arithmetic before rounding.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .classify import (
     PROMOTE,
@@ -104,7 +104,7 @@ def classify_side(side: CommunitySide, corpus: Corpus, thresholds: QuadrantThres
 
 
 def _thresholds_or_note(
-    profiles: dict[str, AuthorProfile], rule: str
+    profiles: dict[str, AuthorProfile] | Collection[AuthorProfile], rule: str
 ) -> tuple[QuadrantThresholds | None, str | None]:
     try:
         return resolve_thresholds(profiles, rule), None
@@ -144,9 +144,7 @@ def compare(
     if pooled_thresholds:
         # Authors in both communities carry per-topic values; pooling feeds
         # both value sets into one cutoff resolution.
-        pooled = {(name, author_id): profile
-                  for name, side in zip("ab", sides)
-                  for author_id, profile in side.profiles.items()}
+        pooled = [*sides[0].profiles.values(), *sides[1].profiles.values()]
         cuts = [_thresholds_or_note(pooled, threshold_rule)] * 2
     else:
         cuts = [_thresholds_or_note(side.profiles, threshold_rule) for side in sides]
@@ -197,7 +195,8 @@ def side_files(side: CommunitySide, *, raw: bool = False, prefix: str = "",
     if side.bands is not None:
         files["bands.csv"] = emit_bands_csv(side.bands, raw=raw)
     if side.classification is not None:
-        files["quadrant_authors.csv"] = emit_quadrant_authors_csv(side.classification, raw=raw)
+        files["quadrant_authors.csv"] = emit_quadrant_authors_csv(
+            side.profiles, side.classification.groups, raw=raw)
         files["quadrant_summary.csv"] = emit_quadrant_summary_csv(side.classification, raw=raw)
         files["thresholds.json"] = emit_thresholds_json(side.classification)
     return {prefix + name: text for name, text in files.items()}

@@ -348,21 +348,6 @@ def _csv_reader(path: str | Path, header: list[str]) -> Iterator:
             raise _undecodable_line(source, newline="") from None
 
 
-def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, row) for each non-blank data row of a CSV file read
-    by _csv_reader; every row must be as wide as ``header``."""
-    width = len(header)
-    with _csv_reader(path, header) as reader:
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise MalformedRecordError(
-                    str(path), reader.line_num, f"expected {width} columns, got {len(row)}"
-                )
-            yield reader.line_num, row
-
-
 def _career_values(source: str, line_no: int, row: list[str], years: dict[str, int],
                    counts: dict[str, int]) -> tuple[int, int, int]:
     """Check the yfp, year and count of a careers row, in the order that
@@ -437,29 +422,40 @@ def load_careers_csv(path: str | Path) -> dict[str, AuthorCareer]:
 
 
 def load_clusters_csv(path: str | Path) -> tuple[dict[str, ClusterMeta], list[str]]:
-    """Parse cluster metadata; returns (clusters, non-canonical area names)."""
+    """Parse cluster metadata; returns (clusters, non-canonical area names).
+
+    Rows come straight from _csv_reader, as in load_careers_csv."""
     clusters: dict[str, ClusterMeta] = {}
     bad_areas: set[str] = set()
-    source = str(path)
-    for line_no, row in _csv_rows(path, _CLUSTERS_HEADER):
-        cluster_id, label, area, total_raw, x_raw, y_raw = row
-        if not cluster_id:
-            raise MalformedRecordError(source, line_no, "empty cluster_id")
-        if cluster_id in clusters:
-            raise MalformedRecordError(source, line_no, f"duplicate cluster_id {cluster_id!r}")
-        try:
-            total = int(total_raw)
-            x = float(x_raw) if x_raw else None
-            y = float(y_raw) if y_raw else None
-        except ValueError:
-            raise MalformedRecordError(source, line_no, f"bad numeric field in {row[3:]}") from None
-        if total < 0:
-            raise MalformedRecordError(source, line_no, f"negative total_authors {total}")
-        if not all(v is None or math.isfinite(v) for v in (x, y)):
-            raise MalformedRecordError(source, line_no, f"non-finite coordinate in {row[4:]}")
-        if area not in RESEARCH_AREAS:
-            bad_areas.add(area)
-        clusters[cluster_id] = ClusterMeta(cluster_id, label, area, total, x, y)
+    with _csv_reader(path, _CLUSTERS_HEADER) as reader:
+
+        def malformed(reason: str) -> MalformedRecordError:
+            return MalformedRecordError(str(path), reader.line_num, reason)
+
+        for row in reader:
+            try:
+                cluster_id, label, area, total_raw, x_raw, y_raw = row
+            except ValueError:
+                if not row:
+                    continue
+                raise malformed(f"expected 6 columns, got {len(row)}") from None
+            if not cluster_id:
+                raise malformed("empty cluster_id")
+            if cluster_id in clusters:
+                raise malformed(f"duplicate cluster_id {cluster_id!r}")
+            try:
+                total = int(total_raw)
+                x = float(x_raw) if x_raw else None
+                y = float(y_raw) if y_raw else None
+            except ValueError:
+                raise malformed(f"bad numeric field in {row[3:]}") from None
+            if total < 0:
+                raise malformed(f"negative total_authors {total}")
+            if not all(v is None or math.isfinite(v) for v in (x, y)):
+                raise malformed(f"non-finite coordinate in {row[4:]}")
+            if area not in RESEARCH_AREAS:
+                bad_areas.add(area)
+            clusters[cluster_id] = ClusterMeta(cluster_id, label, area, total, x, y)
     return clusters, sorted(bad_areas)
 
 

@@ -6,11 +6,11 @@ output that is on-topic), whole-horizon production and focus, and the entry
 lag between first publication and first topic publication.
 
 author_profiles() builds one profile per topic author in one integer pass over
-the topic index and the careers; it holds the topic and career counts of each
-topic year. Year summaries and production bands reduce over those profiles,
-summing integer columns as ints. Count-derived means and the focus variance
-are exact Fractions; only the 95% interval half-width, one square root of the
-exact variance, is a float.
+the topic index and the careers; it holds the index's own topic counts and the
+career's own per-year counts, copying neither. Year summaries and production
+bands reduce over those profiles, summing integer columns as ints.
+Count-derived means and the focus variance are exact Fractions; only the 95%
+interval half-width, one square root of the exact variance, is a float.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class AuthorProfile(Record):
         author_id: str,
         first_year: int,  # first publication ever
         entry_year: int,  # first topic publication
-        topic_counts: dict[int, int],  # per-year topic production, year order; the index's own dict
-        career_counts: dict[int, int],  # total output in each topic year
+        # the index's and the career's own dicts, shared and never to be mutated:
+        topic_counts: dict[int, int],  # per-year topic production, year order
+        career_counts: dict[int, int],  # per-year total output, every career year
         production_total: int,
         focus_overall: Fraction,
         entry_lag: int,  # entry_year - first_year
@@ -95,7 +96,6 @@ def author_profiles(
     for author, topic_counts in index.counts.items():
         career = careers[author]
         pubs_by_year = career.pubs_by_year
-        career_counts: dict[int, int] = {}
         production = 0
         for y, n_topic in topic_counts.items():
             n_total = pubs_by_year.get(y, 0)
@@ -104,7 +104,6 @@ def author_profiles(
                     f"author {author!r}: career lists {n_total} publication(s) in {y} "
                     f"but the corpus holds {n_topic} topic record(s)"
                 )
-            career_counts[y] = n_total
             production += n_topic
         if focus_mode == TOTAL_RATIO:
             career_total = totals.get(author)
@@ -116,7 +115,7 @@ def author_profiles(
             if focus is None:
                 focus = shared[production, career_total] = Fraction(100 * production, career_total)
         else:
-            den, num = _sum_over_lcm([(career_counts[y], 100 * n) for y, n in topic_counts.items()])
+            den, num = _sum_over_lcm([(pubs_by_year[y], 100 * n) for y, n in topic_counts.items()])
             focus = mean(Fraction(num, den), len(topic_counts))
         entry = next(iter(topic_counts))
         profiles[author] = AuthorProfile(
@@ -124,7 +123,7 @@ def author_profiles(
             first_year=career.first_year,
             entry_year=entry,
             topic_counts=topic_counts,
-            career_counts=career_counts,
+            career_counts=pubs_by_year,
             production_total=production,
             focus_overall=focus,
             entry_lag=entry - career.first_year,

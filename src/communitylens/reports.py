@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 from . import __version__
 from .classify import GROUPS, ClassificationResult
 from .cohorts import ALL_AUTHORS, NEW_AUTHORS, YearCohorts
-from .indicators import ProductionBand, YearIndicatorSummary
+from .indicators import AuthorProfile, ProductionBand, YearIndicatorSummary
 from .rounding import format_fixed, ratio_key
 
 Columns = tuple[tuple[str, Callable[[object], object]], ...]
@@ -99,7 +99,8 @@ BAND_RAW = ("share", "mean_focus")
 # difference tables leave out the band limits
 BAND_DIFFERENCE_COLUMNS = BAND_COLUMNS[:1] + BAND_COLUMNS[3:]
 
-QUADRANT_AUTHOR_COLUMNS = _columns("author_id", "production_total", "focus_overall", "group")
+# quadrant author rows are profiles; emit_quadrant_authors_csv appends the group
+QUADRANT_AUTHOR_COLUMNS = _columns("author_id", "production_total", "focus_overall")
 QUADRANT_AUTHOR_RAW = ("focus_overall",)
 # authors hold few distinct focus values
 QUADRANT_AUTHOR_SHARED = ("focus_overall",)
@@ -177,8 +178,12 @@ def emit_bands_csv(bands: Sequence[ProductionBand], *, raw: bool = False) -> str
     return _table(bands, BAND_COLUMNS, BAND_RAW if raw else ())
 
 
-def emit_quadrant_authors_csv(result: ClassificationResult, *, raw: bool = False) -> str:
-    return _table(result.assignments, QUADRANT_AUTHOR_COLUMNS, QUADRANT_AUTHOR_RAW if raw else (),
+def emit_quadrant_authors_csv(profiles: dict[str, AuthorProfile], groups: dict[str, str], *,
+                              raw: bool = False) -> str:
+    """One row per profile, in the profiles' order, with the group that
+    ``groups`` (ClassificationResult.groups) gives its author."""
+    columns = QUADRANT_AUTHOR_COLUMNS + (("group", lambda p: groups[p.author_id]),)
+    return _table(profiles.values(), columns, QUADRANT_AUTHOR_RAW if raw else (),
                   QUADRANT_AUTHOR_SHARED)
 
 

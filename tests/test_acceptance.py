@@ -115,7 +115,7 @@ def test_criterion_3_threshold_reconciliation(threshold_corpus):
     assert not thresholds.focus_trace.promoted
 
     result = classify_authors(profiles, thresholds)
-    specialists = {a.author_id for a in result.assignments if a.group == "specialist"}
+    specialists = {a for a, group in result.groups.items() if group == "specialist"}
     by_definition = {
         a for a, p in profiles.items()
         if p.production_total >= 2 and p.focus_overall == 100
@@ -171,8 +171,7 @@ def test_criterion_4_oracle_equivalence():
             if result is not None:
                 assert result.thresholds.production_cutoff == want_quadrants["production_cutoff"]
                 assert result.thresholds.focus_cutoff == want_quadrants["focus_cutoff"]
-                groups = {a.author_id: a.group for a in result.assignments}
-                assert groups == want_quadrants["groups"]
+                assert result.groups == want_quadrants["groups"]
 
         index = topic_activity(corpus, topic)
         status = stay_status(corpus, index, profiles, window)

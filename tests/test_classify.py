@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,9 @@ from communitylens.classify import (
     resolve_thresholds,
 )
 from communitylens.cohorts import topic_activity
-from communitylens.indicators import AuthorProfile, author_profiles
+from communitylens.corpus import load_corpus
+from communitylens.indicators import FOCUS_MODES, AuthorProfile, author_profiles
+from communitylens.synthgen import GeneratorConfig, generate
 
 from oracles import (
     TOPICS,
@@ -148,7 +151,7 @@ def test_resolve_thresholds_matches_oracle_cutoff(pairs, rule):
         assert trace.promoted == promoted
         assert trace.raw_percentile == sorted(values)[math.ceil(0.75 * len(values)) - 1]
     result = classify_authors(profiles, t)
-    assert {a.author_id: a.group for a in result.assignments} == want_groups["groups"]
+    assert result.groups == want_groups["groups"]
 
 
 def test_nearest_rank_examples():
@@ -172,7 +175,7 @@ def test_promotion_from_saturated_minimum(threshold_corpus):
 def test_specialists_exactly_the_planted_set(threshold_corpus):
     profiles = author_profiles(threshold_corpus, "bd")
     result = classify_authors(profiles, resolve_thresholds(profiles))
-    specialists = {a.author_id for a in result.assignments if a.group == "specialist"}
+    specialists = {a for a, group in result.groups.items() if group == "specialist"}
     planted = {
         a for a, p in profiles.items()
         if p.production_total >= 2 and p.focus_overall == Fraction(100)
@@ -212,8 +215,8 @@ def test_strict_vs_inclusive():
     assert strict.high_production(3)
     r_inc = classify_authors(profiles, inclusive)
     r_str = classify_authors(profiles, strict)
-    high_inc = [a.author_id for a in r_inc.assignments if a.group in ("specialist", "casual")]
-    high_str = [a.author_id for a in r_str.assignments if a.group in ("specialist", "casual")]
+    high_inc = [a for a, group in r_inc.groups.items() if group in ("specialist", "casual")]
+    high_str = [a for a, group in r_str.groups.items() if group in ("specialist", "casual")]
     assert high_inc == ["a003", "a004"]
     assert high_str == ["a004"]
 
@@ -276,8 +279,8 @@ def test_assign_group_cross_multiplied_matches_fraction_order(
 def test_groups_partition_and_shares_sum(threshold_corpus):
     profiles = author_profiles(threshold_corpus, "bd")
     result = classify_authors(profiles, resolve_thresholds(profiles))
-    assert len(result.assignments) == len(profiles)
-    assert [a.author_id for a in result.assignments] == sorted(profiles)
+    assert len(result.groups) == len(profiles)
+    assert list(result.groups) == sorted(profiles)
     assert sum(result.community.counts.values()) == len(profiles)
     assert sum(result.community.shares().values()) == Fraction(100)
     assert result.by_area is None
@@ -342,8 +345,7 @@ def test_classification_matches_oracle_on_random_corpora():
             assert t.production_cutoff == want["production_cutoff"]
             assert t.focus_cutoff == want["focus_cutoff"]
             result = classify_authors(profiles, t)
-            got_groups = {a.author_id: a.group for a in result.assignments}
-            assert got_groups == want["groups"]
+            assert result.groups == want["groups"]
             checked += 1
     assert checked > 20
 
@@ -376,3 +378,34 @@ def test_area_shares_match_oracle_on_random_corpora():
 
 def test_group_names_stable():
     assert GROUPS == ("specialist", "interested", "casual", "incidental")
+
+
+
+@pytest.mark.parametrize("focus_mode", FOCUS_MODES)
+def test_profiles_and_groups_keep_one_copy_of_author_data(tmp_path, focus_mode):
+    config = GeneratorConfig(seed=3, authors_per_year={y: 30 for y in range(2008, 2018)},
+                             n_clusters=6, n_areas=3, topic="alpha")
+    generate(config, tmp_path)
+    corpus = load_corpus(*(str(tmp_path / name) for name in
+                           ("publications.jsonl", "careers.csv", "clusters.csv")),
+                         topics=["alpha"])
+    profiles = author_profiles(corpus, "alpha", focus_mode)
+    for author, p in profiles.items():
+        assert p.career_counts is corpus.careers[author].pubs_by_year
+    thresholds = resolve_thresholds(profiles)
+    index = topic_activity(corpus, "alpha")
+    result = classify_authors(profiles, thresholds, corpus=corpus, index=index)
+    assert list(result.groups) == list(profiles)
+    assert result.by_area
+    # a second call counts only what one call keeps: the result, its share
+    # tables and a few containers, whatever the number of authors
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        again = classify_authors(profiles, thresholds, corpus=corpus, index=index)
+        made = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert again == result
+    assert len(profiles) > 100 and made < 20

@@ -173,8 +173,8 @@ def test_pooled_cutoffs_classify_a_side_that_alone_is_degenerate():
         t = side.classification.thresholds
         assert (t.production_cutoff, t.focus_cutoff) == (2, Fraction(100))
         assert t.production_trace.promoted
-    groups = {a.author_id: a.group for side in (report.side_a, report.side_b)
-              for a in side.classification.assignments}
+    groups = {a: group for side in (report.side_a, report.side_b)
+              for a, group in side.classification.groups.items()}
     assert groups == {"a1": "casual", "a2": "interested", "c1": "interested",
                       "c2": "interested"}
     files = comparison_files(report)

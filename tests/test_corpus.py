@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from communitylens.classify import QuadrantAssignment
 from communitylens.corpus import (
     _TOKEN_RE,
     _compile_terms,
@@ -624,7 +623,6 @@ def test_clusters_round_trip(tmp_path):
 @pytest.mark.parametrize("cls, values", [
     (AuthorCareer, ("a1", 2008, {2008: 2})),
     (AuthorProfile, ("a1", 2008, 2010, {2010: 1}, {2010: 4}, 1, Fraction(25), 2)),
-    (QuadrantAssignment, ("a1", "casual", 3, Fraction(1, 3))),
 ])
 def test_slotted_record_equality_and_repr(cls, values):
     record = cls(*values)

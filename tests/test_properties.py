@@ -118,7 +118,7 @@ def test_quadrants_partition_authors(seed, rule):
     result = classify_authors(
         profiles, thresholds, corpus=corpus, index=topic_activity(corpus, "alpha")
     )
-    assert [a.author_id for a in result.assignments] == sorted(profiles)
+    assert list(result.groups) == sorted(profiles)
     assert sum(result.community.counts.values()) == len(profiles)
     assert sum(result.community.shares().values(), Fraction(0)) == Fraction(100)
 

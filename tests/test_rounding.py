@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from communitylens.classify import ClassificationResult, QuadrantAssignment
+from communitylens.indicators import AuthorProfile
 from communitylens.reports import cell, emit_quadrant_authors_csv, raw_cell
 from communitylens.rounding import (
     format_fixed,
@@ -112,16 +112,17 @@ def test_quadrant_author_cells_keyed_by_exact_value(raw):
     below = half - Fraction(1, 10**30)
     assert float(below) == float(half)
     focuses = [half, below, Fraction(2, 40), Fraction(100, 3), below + 0, Fraction(200, 6), half]
-    assignments = [
-        QuadrantAssignment(f"a{i}", "incidental", i % 3 + 1, focus)
+    profiles = {
+        f"a{i}": AuthorProfile(f"a{i}", 2010, 2010, {2010: i % 3 + 1}, {2010: 9}, i % 3 + 1,
+                               focus, 0)
         for i, focus in enumerate(focuses)
-    ]
-    result = ClassificationResult(None, assignments, None, None)
+    }
+    groups = dict.fromkeys(profiles, "incidental")
     header = "author_id,production_total,focus_overall,group" + (",focus_overall_raw" if raw else "")
     rows = [
-        ",".join([cell(a.author_id), cell(a.production_total), cell(a.focus_overall), cell(a.group)]
-                 + ([raw_cell(a.focus_overall)] if raw else []))
-        for a in assignments
+        ",".join([cell(p.author_id), cell(p.production_total), cell(p.focus_overall),
+                  cell(groups[p.author_id])] + ([raw_cell(p.focus_overall)] if raw else []))
+        for p in profiles.values()
     ]
-    assert emit_quadrant_authors_csv(result, raw=raw) == "\n".join([header, *rows]) + "\n"
+    assert emit_quadrant_authors_csv(profiles, groups, raw=raw) == "\n".join([header, *rows]) + "\n"
     assert [row.split(",")[2] for row in rows] == ["0.1", "0.0", "0.1", "33.3", "0.0", "33.3", "0.1"]
